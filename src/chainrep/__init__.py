@@ -40,6 +40,7 @@ from .errors import (
     NegativeValues,
     NonMonotoneAlongChain,
     NotComonotone,
+    NotMonotone,
     NotNested,
     NotSubmodular,
     ProfileNotMonotone,

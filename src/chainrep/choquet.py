@@ -21,9 +21,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .chains import Chain, all_chains, extremal_measure, require_sweepable
-from .errors import NegativeValues, NotSubmodular, ZeroTotalMass
-from .setfn import GroundSet, ScalarLike, SetFunction, as_scalar, is_submodular
+from .chains import Chain, chain_opt, require_sweepable
+from .errors import NegativeValues, NonMonotoneAlongChain, NotSubmodular, ZeroTotalMass
+from .setfn import (GroundSet, ScalarLike, SetFunction, as_scalar, is_submodular,
+                    require_monotone)
 
 
 @dataclass(frozen=True)
@@ -151,7 +152,7 @@ def choquet_sup_representation(
     otherwise; without submodularity the maximum can exceed the Choquet
     integral). Returns the maximum and the lexicographically first
     attaining chain; ordering elements by decreasing f-value always
-    attains it.
+    attains it; :func:`chainrep.chains.chain_opt` finds it without a sweep.
     """
     require_sweepable(v.ground)
     ok, witness = is_submodular(v)
@@ -160,15 +161,8 @@ def choquet_sup_representation(
             f"chain representation needs submodularity; exchange violation at "
             f"base mask {witness.base} with elements {witness.i}, {witness.j}"
         )
-    best = None
-    best_chain = None
-    for chain in all_chains(v.ground):
-        mu = extremal_measure(v, chain)
-        val = mu.integral(f.values)
-        if best is None or val > best:
-            best = val
-            best_chain = chain
-    return best, best_chain
+    require_monotone(v, "the chain representation", NonMonotoneAlongChain)
+    return chain_opt(v, f.values, maximize=True)
 
 
 def risk_measure(v: SetFunction, f: SimpleFunction) -> Fraction:

@@ -30,7 +30,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from . import counterexample
-from .chains import DiscreteMeasure
+from .chains import SWEEP_LIMIT, DiscreteMeasure
 from .choquet import SimpleFunction, choquet, choquet_sup_representation, risk_measure
 from .errors import (
     ChainrepError,
@@ -59,18 +59,20 @@ EXIT_INPUT = 2
 EXIT_STEP_CAP = 3
 EXIT_INTERNAL = 4
 
-_RATIONAL_RE = re.compile(r"[+-]?\d+(?:/\d+)?")
+_RATIONAL_RE = re.compile(r"[+-]?[0-9]+(?:/[0-9]+)?")
 
 
 def parse_rational(text: str, where: str) -> Fraction:
     if not isinstance(text, str) or not _RATIONAL_RE.fullmatch(text):
         raise DocumentError(f"{where}: not a rational string: {text!r}")
-    if "/" in text:
-        num, den = text.split("/")
-        if int(den) == 0:
-            raise DocumentError(f"{where}: zero denominator in {text!r}")
-        return Fraction(int(num), int(den))
-    return Fraction(int(text))
+    num, _, den = text.partition("/")
+    try:
+        num, den = int(num), int(den or 1)
+    except ValueError as exc:  # past the interpreter's int digit limit
+        raise DocumentError(f"{where}: {exc}") from exc
+    if den == 0:
+        raise DocumentError(f"{where}: zero denominator in {text!r}")
+    return Fraction(num, den)
 
 
 def rational_str(x: Fraction) -> str:
@@ -179,7 +181,7 @@ def _load_document(path: str):
             return json.load(fh)
     except OSError as exc:
         raise DocumentError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # also bad UTF-8, huge or deep literals
         raise DocumentError(f"{path}: invalid JSON: {exc}") from exc
 
 
@@ -267,7 +269,10 @@ def cmd_check(args) -> int:
             f"v({_mask_str(g, x | y)}) + v({_mask_str(g, x & y)})"
         )
         payload["submodular_witness"] = [g.subset_key(x), g.subset_key(y)]
-    if mono:
+    if mono and g.size > SWEEP_LIMIT:
+        lines.append("four-way equivalence: not evaluated "
+                     f"(route (b) would sweep {g.size}! chains)")
+    elif mono:
         report = verify_submodular_equivalence(v)
         payload["equivalence"] = dict(
             zip("abcd", report.booleans)
@@ -475,13 +480,6 @@ def cmd_spectral(args) -> int:
 def cmd_represent(args) -> int:
     doc = _load_document(args.file)
     v = parse_set_function_document(doc)
-    mono, wit = is_monotone(v)
-    if not mono:
-        raise DocumentError(
-            "representation report requires a monotone function; "
-            f"witness {v.ground.subset_key(wit.small)!r} vs "
-            f"{v.ground.subset_key(wit.large)!r}"
-        )
     report = verify_submodular_equivalence(v)
     names = (
         "submodular",

@@ -11,6 +11,10 @@ class GroundSetTooLarge(ChainrepError):
     """Ground set exceeds the permutation-sweep limit for chain operations."""
 
 
+class NotMonotone(ChainrepError, ValueError):
+    """Operation requires a monotone set function."""
+
+
 class NonMonotoneAlongChain(ChainrepError):
     """A telescoped increment along the chain is negative."""
 

@@ -13,25 +13,19 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .chains import chain_opt_tails, indicator, int_image, require_sweepable
 from .errors import InternalConsistencyError, MaxStepsExceeded, ProfileNotMonotone
-from .represent import _chain_opt_tails, scaled_int_values
-from .chains import require_sweepable
-from .setfn import GroundSet, SetFunction, as_scalar, is_monotone, is_submodular
+from .setfn import GroundSet, SetFunction, as_scalar, is_submodular, require_monotone
 
 
 def recursion_step(v: SetFunction) -> SetFunction:
     """One chain-supremum step; requires monotone v with v(empty) = 0."""
     require_sweepable(v.ground)
-    ok, w = is_monotone(v)
-    if not ok:
-        raise ValueError(
-            f"recursion step requires a monotone set function; "
-            f"v decreases from mask {w.small} to {w.large}"
-        )
-    values, den = scaled_int_values(v)
+    require_monotone(v, "the recursion step")
+    values, den = int_image(v.values)
     m = v.ground.size
     out = tuple(
-        Fraction(_chain_opt_tails(values, m, a, maximize=True)[0], den)
+        Fraction(chain_opt_tails(values, indicator(a, m), maximize=True)[0], den)
         for a in v.ground.subsets()
     )
     return SetFunction(v.ground, out)
@@ -71,12 +65,7 @@ def iterate_to_fixed_point(
     trace attached. A reached fixed point is always submodular; that is
     re-checked and a failure would be a bug.
     """
-    ok, w = is_monotone(v0)
-    if not ok:
-        raise ValueError(
-            f"recursion requires a monotone start; "
-            f"v0 decreases from mask {w.small} to {w.large}"
-        )
+    require_monotone(v0, "the recursion")
     if max_steps is None:
         max_steps = 1 << v0.ground.size
     iterates = [v0]

@@ -14,98 +14,36 @@ equivalent, and this module decides each one independently:
 The supermodular mirror replaces maxima by minima and the lower core by
 the upper core.
 
-The chain maximum in (c) is computed by dynamic programming over lattice
-paths from the empty set to the full set: a chain is exactly such a path,
-and only steps that add an element of the target subset contribute their
+The chain maximum in (c) is the lattice-path dynamic program of
+:func:`chainrep.chains.chain_opt` with the indicator of the target subset
+as weights: only steps that add an element of the subset contribute their
 increment. The DP is exhaustive-equivalent to sweeping all m! chains and
 is cross-checked against the literal sweep in the test suite. Arithmetic
 is exact throughout: values are scaled to a common denominator and the DP
-runs on integers.
+runs on integers. Route (b) alone sweeps the m! chains literally.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
-from typing import Sequence
 
 from .chains import (
     Chain,
     DiscreteMeasure,
     all_chains,
+    chain_opt,
+    chain_opt_tails,
     extremal_measure,
+    indicator,
     insert_nested_pair,
+    int_image,
+    lex_first_order,
     require_sweepable,
     subset_sums,
 )
 from .errors import NotNested
-from .setfn import SetFunction, is_monotone, is_submodular, is_supermodular
-
-
-def scaled_int_values(v: SetFunction) -> tuple[list[int], int]:
-    """Common-denominator integer image of the values; exact."""
-    den = 1
-    for x in v.values:
-        den = lcm(den, x.denominator)
-    return [x.numerator * (den // x.denominator) for x in v.values], den
-
-
-def _chain_opt_tails(
-    values: Sequence[int], m: int, a_mask: int, maximize: bool
-) -> list:
-    """tails[S] = best total increment of A-elements over paths S -> full."""
-    full = (1 << m) - 1
-    tails = [0] * (full + 1)
-    rng = range(m)
-    for s in range(full - 1, -1, -1):
-        vs = values[s]
-        best = None
-        for i in rng:
-            b = 1 << i
-            if s & b:
-                continue
-            t = s | b
-            g = tails[t]
-            if a_mask & b:
-                g += values[t] - vs
-            if best is None or (g > best if maximize else g < best):
-                best = g
-        tails[s] = best
-    return tails
-
-
-def _lex_first_optimal_chain(
-    v: SetFunction, values: Sequence[int], a_mask: int, tails: Sequence[int]
-) -> Chain:
-    m = v.ground.size
-    order = []
-    s = 0
-    for _ in range(m):
-        target = tails[s]
-        vs = values[s]
-        for i in range(m):
-            b = 1 << i
-            if s & b:
-                continue
-            g = tails[s | b]
-            if a_mask & b:
-                g += values[s | b] - vs
-            if g == target:
-                order.append(i)
-                s |= b
-                break
-    return Chain(v.ground, tuple(order))
-
-
-def _opt_over_chains(
-    v: SetFunction, a_mask: int, maximize: bool
-) -> tuple[Fraction, Chain]:
-    require_sweepable(v.ground)
-    values, den = scaled_int_values(v)
-    tails = _chain_opt_tails(values, v.ground.size, a_mask, maximize)
-    witness = _lex_first_optimal_chain(v, values, a_mask, tails)
-    return Fraction(tails[0], den), witness
+from .setfn import SetFunction, is_submodular, is_supermodular, require_monotone
 
 
 def sup_over_chains(v: SetFunction, a_mask: int) -> tuple[Fraction, Chain]:
@@ -115,12 +53,12 @@ def sup_over_chains(v: SetFunction, a_mask: int) -> tuple[Fraction, Chain]:
     lexicographically first attaining chain; the maximum dominates v at
     the subset, with equality everywhere iff v is submodular.
     """
-    return _opt_over_chains(v, a_mask, maximize=True)
+    return chain_opt(v, indicator(a_mask, v.ground.size), maximize=True)
 
 
 def inf_over_chains(v: SetFunction, a_mask: int) -> tuple[Fraction, Chain]:
     """Minimum counterpart of :func:`sup_over_chains` (supermodular side)."""
-    return _opt_over_chains(v, a_mask, maximize=False)
+    return chain_opt(v, indicator(a_mask, v.ground.size), maximize=False)
 
 
 def in_lower_core(
@@ -148,14 +86,10 @@ def _core_membership(
     if v.ground != mu.ground:
         raise ValueError("set function and measure live on different ground sets")
     full = v.ground.full_mask
-    sums = mu.subset_sums()
-    for s in v.ground.subsets():
-        bad = sums[s] > v.values[s] if lower else sums[s] < v.values[s]
-        if bad:
-            return False, s
-    if sums[full] != v.values[full]:
+    in_core, violated = _restricted_core_check(v, mu, full, lower)
+    if in_core and mu.total != v.values[full]:
         return False, full
-    return True, None
+    return in_core, violated
 
 
 def local_core_sup(v: SetFunction, a_mask: int, b_mask: int) -> Fraction:
@@ -250,7 +184,7 @@ def _extremal_measures_in_core(
     v: SetFunction, lower: bool
 ) -> tuple[bool, tuple[Chain, int] | None]:
     """(b): every chain's telescoped measure is dominated by / dominates v."""
-    values, _den = scaled_int_values(v)
+    values, _den = int_image(v.values)
     m = v.ground.size
     size = 1 << m
     for chain in all_chains(v.ground):
@@ -274,13 +208,13 @@ def _sup_matches_everywhere(
     v: SetFunction, maximize: bool
 ) -> tuple[bool, tuple[int, Chain] | None]:
     """(c): the chain optimum agrees with v on every subset."""
-    values, den = scaled_int_values(v)
+    values, _den = int_image(v.values)
     m = v.ground.size
     for a in v.ground.subsets():
-        tails = _chain_opt_tails(values, m, a, maximize)
+        weights = indicator(a, m)
+        tails = chain_opt_tails(values, weights, maximize)
         if tails[0] != values[a]:
-            witness = _lex_first_optimal_chain(v, values, a, tails)
-            return False, (a, witness)
+            return False, (a, Chain(v.ground, lex_first_order(values, weights, tails)))
     return True, None
 
 
@@ -301,12 +235,7 @@ def _local_candidates_in_core(
 
 
 def _verify(v: SetFunction, lower: bool) -> EquivalenceReport:
-    ok_mono, w = is_monotone(v)
-    if not ok_mono:
-        raise ValueError(
-            "equivalence verification requires a monotone set function; "
-            f"v decreases from mask {w.small} to {w.large}"
-        )
+    require_monotone(v, "equivalence verification")
     require_sweepable(v.ground)
     a_holds, a_wit = is_submodular(v) if lower else is_supermodular(v)
     b_holds, b_wit = _extremal_measures_in_core(v, lower)

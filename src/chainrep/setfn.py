@@ -23,6 +23,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Union
 
+from .errors import NotMonotone
+
 Scalar = Fraction
 ScalarLike = Union[Fraction, int, str]
 
@@ -175,6 +177,15 @@ def is_monotone(v: SetFunction) -> tuple[bool, MonotoneWitness | None]:
             if va > vals[a | b]:
                 return False, MonotoneWitness(a, a | b)
     return True, None
+
+
+def require_monotone(v: SetFunction, what: str, error: type = NotMonotone) -> None:
+    """Raise ``error`` naming ``what`` and the first witness unless v is monotone."""
+    ok, w = is_monotone(v)
+    if not ok:
+        small, large = v.ground.subset_key(w.small), v.ground.subset_key(w.large)
+        raise error(f"{what} requires a monotone set function; "
+                    f"v decreases from {{{small}}} to {{{large}}}")
 
 
 def _exchange_violation(v: SetFunction, submodular: bool) -> ExchangeWitness | None:

@@ -186,5 +186,16 @@ def brute_inf_over_chains(v: SetFunction, mask: int) -> tuple[Fraction, Chain]:
     return best, witness
 
 
+def brute_choquet_sup(v: SetFunction, f: SimpleFunction) -> tuple[Fraction, Chain]:
+    """Literal sweep over all m! chains of the integral of f; first best chain wins."""
+    best = None
+    witness = None
+    for chain in all_chains(v.ground):
+        val = extremal_measure(v, chain).integral(f.values)
+        if best is None or val > best:
+            best, witness = val, chain
+    return best, witness
+
+
 def frac(x) -> Fraction:
     return Fraction(x)

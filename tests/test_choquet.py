@@ -8,7 +8,9 @@ from hypothesis import given, strategies as st
 
 from chainrep import (
     GroundSet,
+    GroundSetTooLarge,
     NegativeValues,
+    NonMonotoneAlongChain,
     NotSubmodular,
     SetFunction,
     SimpleFunction,
@@ -173,6 +175,32 @@ class TestChoquetSupRepresentation:
         f = SimpleFunction.constant(GROUND, 1)
         with pytest.raises(NotSubmodular):
             choquet_sup_representation(V0, f)
+
+    def test_matches_literal_sweep_value_and_witness(self):
+        # f drawn from a pool of three values: ties, negatives, thirds.
+        rng = random.Random(97)
+        for m in (2, 3, 4, 5, 6):
+            for k in range(8 if m < 6 else 3):
+                v = support.random_submodular(rng, g(m))
+                pool = [Fraction(rng.randint(-4, 4), rng.choice((1, 3)))
+                        for _ in range(3)]
+                if k % 2:
+                    pool[0] = -abs(pool[0]) - Fraction(1, 3)
+                f = SimpleFunction(g(m), tuple(rng.choice(pool) for _ in range(m)))
+                value, chain = choquet_sup_representation(v, f)
+                want, want_chain = support.brute_choquet_sup(v, f)
+                assert (value, chain) == (want, want_chain), (m, v.values, f.values)
+
+    def test_refusal_order(self):
+        # Too large wins over non-submodular, as before the DP.
+        v = SetFunction.from_callable(g(10), lambda s: bin(s).count("1") ** 2)
+        with pytest.raises(GroundSetTooLarge):
+            choquet_sup_representation(v, SimpleFunction.constant(g(10), 1))
+
+    def test_rejects_non_monotone_submodular(self):
+        v = SetFunction(g(2), (Fraction(0), Fraction(2), Fraction(1), Fraction(1)))
+        with pytest.raises(NonMonotoneAlongChain):
+            choquet_sup_representation(v, SimpleFunction.constant(g(2), 1))
 
 
 class TestRiskMeasure:

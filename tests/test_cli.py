@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from chainrep import GroundSet, SetFunction
 from chainrep.cli import (
     EXIT_INPUT,
     EXIT_NEGATIVE,
@@ -57,7 +58,7 @@ class TestDocuments:
         assert parse_set_function_document(doc_with("3/4")).values[1] == Fraction(3, 4)
         assert parse_set_function_document(doc_with("-7")).values[1] == Fraction(-7)
         assert parse_set_function_document(doc_with("+2/6")).values[1] == Fraction(1, 3)
-        for bad in ("1/0", "1.5", "3/-4", "", "x", "1 /2"):
+        for bad in ("1/0", "1.5", "3/-4", "", "x", "1 /2", "\u0661", "7" * 5000):
             with pytest.raises(DocumentError):
                 parse_set_function_document(doc_with(bad))
 
@@ -134,6 +135,46 @@ class TestCheckCommand:
         assert code == EXIT_OK
         assert payload["submodular"] is True
         assert payload["equivalence"] == {"a": True, "b": True, "c": True, "d": True}
+
+    def test_wide_ground_set_skips_the_four_way_report(self, tmp_path, capsys):
+        ground = GroundSet.of_size(10)
+        v = SetFunction.from_callable(ground, lambda s: min(4, bin(s).count("1")))
+        path = write_doc(tmp_path, "m10.json", serialize_set_function(v))
+        code = main(["check", path, "--no-persist", "--format", "json"])
+        captured = capsys.readouterr()
+        assert code == EXIT_OK
+        assert "Traceback" not in captured.err
+        payload = json.loads(captured.out)
+        assert payload["monotone"] and payload["submodular"]
+        assert "equivalence" not in payload
+        assert main(["check", path, "--no-persist"]) == EXIT_OK
+        assert "not evaluated" in capsys.readouterr().out
+
+
+class TestIngestionErrors:
+    """Malformed input exits 2 with a message, never with a traceback."""
+
+    def run(self, capsys, argv):
+        code = main(argv + ["--no-persist"])
+        assert "Traceback" not in capsys.readouterr().err
+        return code
+
+    def test_iterate_non_monotone(self, tmp_path, capsys):
+        path = write_doc(tmp_path, "down.json", {
+            "ground_set": ["1", "2"],
+            "values": {"": "0", "1": "2", "2": "1", "1,2": "1"}})
+        assert self.run(capsys, ["iterate", path]) == EXIT_INPUT
+        assert self.run(capsys, ["represent", path]) == EXIT_INPUT
+
+    @pytest.mark.parametrize("raw", [
+        b'{"ground_set": ["\xe9"], "values": {"": "0", "\xe9": "1"}}',
+        b'{"ground_set": ["1"], "values": {"": "0", "1": %s}}' % (b"7" * 5000),
+        b"[" * 100000 + b"]" * 100000,
+    ], ids=["non-utf8", "huge-number-literal", "deep-nesting"])
+    def test_unreadable_json(self, tmp_path, capsys, raw):
+        path = tmp_path / "doc.json"
+        path.write_bytes(raw)
+        assert self.run(capsys, ["check", str(path)]) == EXIT_INPUT
 
 
 class TestIterateCommand:

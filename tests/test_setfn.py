@@ -7,7 +7,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 from chainrep import (
+    ChainrepError,
     GroundSet,
+    NotMonotone,
     SetFunction,
     dual_transform,
     is_monotone,
@@ -90,6 +92,14 @@ class TestMonotone:
             ]
             v = SetFunction(ground, tuple(values))
             assert is_monotone(v)[0] == support.brute_monotone(v)
+
+    def test_require_monotone_names_the_caller_and_witness(self):
+        from chainrep.setfn import require_monotone
+        require_monotone(V0, "the check")
+        with pytest.raises(NotMonotone, match=r"the check .* from \{\} to \{1\}"):
+            require_monotone(sf(2, [0, -1, 0, 0]), "the check")
+        assert issubclass(NotMonotone, ChainrepError)
+        assert issubclass(NotMonotone, ValueError)
 
 
 class TestSubmodular:
