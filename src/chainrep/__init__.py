@@ -60,7 +60,6 @@ from .lawinv import (
     distribution_of_density,
     distribution_of_function,
     domination_report,
-    equal_distribution_densities,
     kusuoka_measure,
     quantile,
     rearrangement_sup,

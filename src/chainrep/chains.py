@@ -22,11 +22,10 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 from typing import Iterable, Iterator, Sequence
 
 from .errors import GroundSetTooLarge, NonMonotoneAlongChain, NotNested
-from .setfn import GroundSet, ScalarLike, SetFunction, as_scalar
+from .setfn import GroundSet, ScalarLike, SetFunction, as_scalar, int_image
 
 # Permutation sweeps run through m! chains; beyond this they stop being fun.
 SWEEP_LIMIT = 9
@@ -193,12 +192,6 @@ def insert_nested_pair(chain: Chain, a_mask: int, b_mask: int) -> Chain:
             f"{chain.ground.subset_key(a_mask) or '{}'}"
         )
     return insert_into_chain(insert_into_chain(chain, a_mask), b_mask)
-
-
-def int_image(values: Sequence) -> tuple[list[int], int]:
-    """Common-denominator integer image: ``values[i] == ints[i] / den``; exact."""
-    den = lcm(*(x.denominator for x in values))
-    return [x.numerator * (den // x.denominator) for x in values], den
 
 
 def indicator(mask: int, m: int) -> list[int]:

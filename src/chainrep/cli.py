@@ -26,6 +26,7 @@ import json
 import os
 import re
 import sys
+from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
 
@@ -60,23 +61,32 @@ EXIT_STEP_CAP = 3
 EXIT_INTERNAL = 4
 
 _RATIONAL_RE = re.compile(r"[+-]?[0-9]+(?:/[0-9]+)?")
+# Digits allowed in the numerator and in the denominator of an input value.
+_MAX_DIGITS = 4300
 
 
 def parse_rational(text: str, where: str) -> Fraction:
     if not isinstance(text, str) or not _RATIONAL_RE.fullmatch(text):
         raise DocumentError(f"{where}: not a rational string: {text!r}")
     num, _, den = text.partition("/")
+    if max(len(num.lstrip("+-")), len(den)) > _MAX_DIGITS:
+        raise DocumentError(f"{where}: a value has more than {_MAX_DIGITS} digits")
     try:
         num, den = int(num), int(den or 1)
-    except ValueError as exc:  # past the interpreter's int digit limit
-        raise DocumentError(f"{where}: {exc}") from exc
+    except ValueError:  # the interpreter's int-to-str limit is set lower
+        num, den = int(Decimal(num)), int(Decimal(den or 1))
     if den == 0:
         raise DocumentError(f"{where}: zero denominator in {text!r}")
     return Fraction(num, den)
 
 
 def rational_str(x: Fraction) -> str:
-    return str(x)
+    """Exact text of a rational, whatever its length."""
+    try:
+        return str(x)
+    except ValueError:  # past the interpreter's int-to-str digit limit
+        num = str(Decimal(x.numerator))
+        return num if x.denominator == 1 else f"{num}/{Decimal(x.denominator)}"
 
 
 def _parse_ground(obj, where: str) -> GroundSet:
@@ -354,7 +364,7 @@ def cmd_repro_table(args) -> int:
         for row, mask, want, got in diffs:
             lines.append(
                 f"MISMATCH {row} {_mask_str(v0.ground, mask)}: "
-                f"expected {want}, got {got}"
+                f"expected {rational_str(want)}, got {rational_str(got)}"
             )
             payload["mismatches"].append(
                 {"row": row, "subset": v0.ground.subset_key(mask),
@@ -387,7 +397,7 @@ def cmd_choquet(args) -> int:
     f = _parse_f(v.ground, args.f)
     value = choquet(v, f)
     payload = {"choquet": rational_str(value)}
-    lines = [f"choquet integral: {value}"]
+    lines = [f"choquet integral: {rational_str(value)}"]
     code = EXIT_OK
     if args.sup:
         try:
@@ -396,7 +406,7 @@ def cmd_choquet(args) -> int:
             print(f"chain supremum refused: {exc}", file=sys.stderr)
             return EXIT_NEGATIVE
         payload["chain_supremum"] = rational_str(sup_val)
-        lines.append(f"chain supremum: {sup_val}")
+        lines.append(f"chain supremum: {rational_str(sup_val)}")
         if args.witness:
             payload["witness_chain"] = list(chain.label_order())
             lines.append(f"attaining chain: {','.join(chain.label_order())}")
@@ -406,7 +416,7 @@ def cmd_choquet(args) -> int:
         except ZeroTotalMass as exc:
             raise DocumentError(str(exc)) from exc
         payload["risk"] = rational_str(rho)
-        lines.append(f"risk measure: {rho}")
+        lines.append(f"risk measure: {rational_str(rho)}")
     _emit(args, payload, lines)
     _persist(
         args, document_digest(doc), "choquet",
@@ -436,27 +446,29 @@ def cmd_spectral(args) -> int:
         raise DocumentError(str(exc)) from exc
     if not direct == product == decomposition.by_components:
         print(
-            f"internal inconsistency: direct={direct} product={product} "
-            f"spectral={decomposition.by_components}",
+            f"internal inconsistency: direct={rational_str(direct)} "
+            f"product={rational_str(product)} "
+            f"spectral={rational_str(decomposition.by_components)}",
             file=sys.stderr,
         )
         return EXIT_INTERNAL
+    r = rational_str
     lines = ["distribution of the density:"]
     for bp, lv in zip(dist.breakpoints, dist.levels):
-        lines.append(f"  F({bp}) = {lv}")
+        lines.append(f"  F({r(bp)}) = {r(lv)}")
     lines.append("quantile segments (lo <= beta < hi -> value):")
     for lo, hi, z in dist.quantile_segments():
-        lines.append(f"  [{lo}, {hi}) -> {z}")
+        lines.append(f"  [{r(lo)}, {r(hi)}) -> {r(z)}")
     lines.append("spectral atoms (level: mass):")
     for alpha, mass in spectral.atoms:
-        lines.append(f"  {alpha}: {mass}")
-    lines.append(f"integral, layer route:    {direct}")
-    lines.append(f"integral, product route:  {product}")
-    lines.append(f"integral, spectral route: {decomposition.by_components}")
-    lines.append(f"integral against mu:      {dom.paired_integral}")
-    lines.append(f"equal-distribution sup:   {dom.rearrangement_supremum}")
+        lines.append(f"  {r(alpha)}: {r(mass)}")
+    lines.append(f"integral, layer route:    {r(direct)}")
+    lines.append(f"integral, product route:  {r(product)}")
+    lines.append(f"integral, spectral route: {r(decomposition.by_components)}")
+    lines.append(f"integral against mu:      {r(dom.paired_integral)}")
+    lines.append(f"equal-distribution sup:   {r(dom.rearrangement_supremum)}")
     if dom.gap_to_paired > 0:
-        lines.append(f"strict gap above the mu pairing: {dom.gap_to_paired}")
+        lines.append(f"strict gap above the mu pairing: {r(dom.gap_to_paired)}")
     payload = {
         "breakpoints": [rational_str(b) for b in dist.breakpoints],
         "levels": [rational_str(l) for l in dist.levels],

@@ -32,7 +32,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Sequence
+from typing import Sequence
 
 from .chains import DiscreteMeasure, subset_sums
 from .choquet import SimpleFunction, layer_decompose
@@ -46,7 +46,7 @@ from .errors import (
     TiedDensities,
     ZeroTotalMass,
 )
-from .setfn import GroundSet, ScalarLike, SetFunction, as_scalar
+from .setfn import GroundSet, ScalarLike, SetFunction, as_scalar, int_image
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -255,13 +255,16 @@ def v_mu(w: WeightedSpace, a_mask: int) -> Fraction:
 
 
 def v_mu_set_function(w: WeightedSpace) -> SetFunction:
-    """Materialize the law-invariant function on the whole subset lattice."""
+    """Materialize the law-invariant function on the whole subset lattice.
+
+    v(A) depends on A only through nu(A), so each distinct subset mass is
+    integrated once.
+    """
     dist = distribution_of_density(w)
-    nu_sums = w.nu.subset_sums()
-    return SetFunction(
-        w.ground,
-        tuple(_survival_min_integral(dist, nu_sums[s]) for s in w.ground.subsets()),
-    )
+    ints, den = int_image(w.nu.weights)
+    sums = subset_sums(ints)
+    by_mass = {s: _survival_min_integral(dist, Fraction(s, den)) for s in set(sums)}
+    return SetFunction(w.ground, tuple(by_mass[s] for s in sums))
 
 
 def v_mu_via_quantile(w: WeightedSpace, a_mask: int) -> Fraction:
@@ -322,60 +325,66 @@ def comonotone_check(f: SimpleFunction, g: SimpleFunction) -> bool:
     return True
 
 
-def equal_distribution_densities(w: WeightedSpace) -> Iterator[tuple[Fraction, ...]]:
-    """All density vectors whose level sets carry the same nu-masses.
-
-    These are exactly the densities of the measures absolutely continuous
-    in nu that share the distribution of w's density. Elements of zero
-    nu-weight are left untouched: their value never affects any mass or
-    integral.
-    """
-    weights = w.nu.weights
-    positive = [i for i in range(w.ground.size) if weights[i] > 0]
-    need: dict[Fraction, Fraction] = {}
-    for i in positive:
-        d = w.density[i]
-        need[d] = need.get(d, ZERO) + weights[i]
-    values = sorted(need)
-    current = list(w.density)
-
-    def assign(k: int) -> Iterator[tuple[Fraction, ...]]:
-        if k == len(positive):
-            yield tuple(current)
-            return
-        i = positive[k]
-        wi = weights[i]
-        for val in values:
-            if need[val] >= wi:
-                need[val] -= wi
-                current[i] = val
-                yield from assign(k + 1)
-                need[val] += wi
-
-    yield from assign(0)
-
-
 def rearrangement_sup(
     w: WeightedSpace, f: SimpleFunction
 ) -> tuple[Fraction, tuple[Fraction, ...]]:
     """Supremum of the integral of f over the equal-distribution class.
 
-    Finite, hence attained; returns the value and a best density vector.
+    The class holds the densities whose level sets carry the same
+    nu-masses as w's; elements of zero nu-weight keep their density, since
+    it affects no mass or integral. The class is finite, so the supremum
+    is attained. Returns the value and the first best density in the
+    order that assigns levels to the positive-weight elements in index
+    order, smallest level first.
+
+    A memoized DP over the vector of level masses still to be assigned
+    finds the optimum, in integers scaled by common denominators; for a
+    uniform nu with distinct densities it visits 2^m mass vectors, m
+    levels each. A forward pass then picks, element by element, the
+    smallest level whose completion attains the optimum.
     """
     if f.ground != w.ground:
         raise ValueError("integrand lives on a different ground set")
-    best = None
-    best_density = None
-    weights = w.nu.weights
-    for density in equal_distribution_densities(w):
-        val = sum(
-            (fv * d * wt for fv, d, wt in zip(f.values, density, weights)),
-            ZERO,
-        )
-        if best is None or val > best:
-            best = val
-            best_density = density
-    return best, best_density
+    positive = [i for i, wt in enumerate(w.nu.weights) if wt > 0]
+    levels = sorted({w.density[i] for i in positive})
+    heights, hden = int_image(levels)
+    masses, mden = int_image([w.nu.weights[i] for i in positive])
+    fs, fden = int_image([f.values[i] for i in positive])
+    gains = [fk * mk for fk, mk in zip(fs, masses)]
+    start = [0] * len(levels)
+    for i, mk in zip(positive, masses):
+        start[levels.index(w.density[i])] += mk
+    n = len(positive)
+    memo: dict[tuple[int, ...], int | None] = {}
+
+    def moves(k, need):
+        """(level, need after, completion value) for element k at need."""
+        mk = masses[k]
+        for lv, left in enumerate(need):
+            if left >= mk:
+                after = need[:lv] + (left - mk,) + need[lv + 1:]
+                rest = best(k + 1, after)
+                if rest is not None:
+                    yield lv, after, gains[k] * heights[lv] + rest
+
+    def best(k, need):
+        """Best integer completion for elements k.., None if infeasible."""
+        if k == n:
+            return 0
+        # The masses still to assign sum to the weight of elements k..,
+        # which decreases strictly in k, so need alone keys the memo.
+        if need not in memo:
+            memo[need] = max((g for _, _, g in moves(k, need)), default=None)
+        return memo[need]
+
+    need = tuple(start)
+    top = best(0, need)
+    density = list(w.density)
+    for k, i in enumerate(positive):
+        target = best(k, need)
+        lv, need, _ = next(mv for mv in moves(k, need) if mv[2] == target)
+        density[i] = levels[lv]
+    return Fraction(top, fden * hden * mden), tuple(density)
 
 
 def _check_chain_hypothesis(w: WeightedSpace, strict: bool) -> None:

@@ -13,9 +13,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .chains import chain_opt_tails, indicator, int_image, require_sweepable
+from .chains import chain_opt_tails, indicator, require_sweepable
 from .errors import InternalConsistencyError, MaxStepsExceeded, ProfileNotMonotone
-from .setfn import GroundSet, SetFunction, as_scalar, is_submodular, require_monotone
+from .setfn import (
+    GroundSet, SetFunction, as_scalar, int_image, is_submodular, require_monotone,
+)
 
 
 def recursion_step(v: SetFunction) -> SetFunction:

@@ -37,13 +37,12 @@ from .chains import (
     extremal_measure,
     indicator,
     insert_nested_pair,
-    int_image,
     lex_first_order,
     require_sweepable,
     subset_sums,
 )
 from .errors import NotNested
-from .setfn import SetFunction, is_submodular, is_supermodular, require_monotone
+from .setfn import SetFunction, int_image, is_submodular, is_supermodular, require_monotone
 
 
 def sup_over_chains(v: SetFunction, a_mask: int) -> tuple[Fraction, Chain]:

@@ -14,14 +14,17 @@ A set function ``v`` here always satisfies ``v(empty) = 0``. It is
 
 Both modularity predicates are decided through the equivalent local
 exchange test over triples ``(A, i, j)`` with ``i != j`` outside ``A``,
-which is quadratically cheaper than scanning all pairs of subsets.
+which is quadratically cheaper than scanning all pairs of subsets. The
+predicates scan the common-denominator integer image (:func:`int_image`),
+which orders values exactly as the rationals do.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Union
+from math import lcm
+from typing import Callable, Iterable, Sequence, Union
 
 from .errors import NotMonotone
 
@@ -39,6 +42,12 @@ def as_scalar(x: ScalarLike) -> Fraction:
     if isinstance(x, float):
         raise TypeError("floats are not accepted; pass Fraction, int or str")
     return Fraction(x)
+
+
+def int_image(values: Sequence) -> tuple[list[int], int]:
+    """Common-denominator integer image: ``values[i] == ints[i] / den``; exact."""
+    den = lcm(*(x.denominator for x in values))
+    return [x.numerator * (den // x.denominator) for x in values], den
 
 
 @dataclass(frozen=True)
@@ -166,7 +175,7 @@ def is_monotone(v: SetFunction) -> tuple[bool, MonotoneWitness | None]:
     increasing bitmask order and elements in index order, so the witness
     is deterministic.
     """
-    vals = v.values
+    vals, _ = int_image(v.values)
     m = v.ground.size
     for a in range(1 << m):
         va = vals[a]
@@ -189,23 +198,19 @@ def require_monotone(v: SetFunction, what: str, error: type = NotMonotone) -> No
 
 
 def _exchange_violation(v: SetFunction, submodular: bool) -> ExchangeWitness | None:
-    vals = v.values
+    vals, _ = int_image(v.values)
+    if not submodular:  # v is supermodular iff -v is submodular
+        vals = [-x for x in vals]
     m = v.ground.size
     for a in range(1 << m):
         va = vals[a]
-        for i in range(m):
-            bi = 1 << i
-            if a & bi:
-                continue
-            vai = vals[a | bi]
-            for j in range(i + 1, m):
+        outside = [i for i in range(m) if not a >> i & 1]
+        for k, i in enumerate(outside):
+            ai = a | 1 << i
+            vai = vals[ai]
+            for j in outside[k + 1:]:
                 bj = 1 << j
-                if a & bj:
-                    continue
-                lhs = vai + vals[a | bj]
-                rhs = vals[a | bi | bj] + va
-                bad = lhs < rhs if submodular else lhs > rhs
-                if bad:
+                if vai + vals[a | bj] < vals[ai | bj] + va:
                     return ExchangeWitness(a, i, j)
     return None
 

@@ -9,11 +9,14 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from typing import Iterator
 
 from chainrep import (
     Chain,
+    ExchangeWitness,
     DiscreteMeasure,
     GroundSet,
+    MonotoneWitness,
     SetFunction,
     SimpleFunction,
     WeightedSpace,
@@ -195,6 +198,81 @@ def brute_choquet_sup(v: SetFunction, f: SimpleFunction) -> tuple[Fraction, Chai
         if best is None or val > best:
             best, witness = val, chain
     return best, witness
+
+
+def brute_monotone_witness(v: SetFunction) -> MonotoneWitness | None:
+    """Literal Fraction scan of the pairs (A, A + i) in bitmask, then index order."""
+    for a in v.ground.subsets():
+        for i in range(v.ground.size):
+            if not a >> i & 1 and v.values[a] > v.values[a | 1 << i]:
+                return MonotoneWitness(a, a | 1 << i)
+    return None
+
+
+def brute_exchange_witness(v: SetFunction, submodular: bool) -> ExchangeWitness | None:
+    """Literal Fraction scan of the triples (A, i < j) in bitmask, then index order."""
+    m = v.ground.size
+    val = v.values
+    for a in v.ground.subsets():
+        for i in range(m):
+            for j in range(i + 1, m):
+                if a >> i & 1 or a >> j & 1:
+                    continue
+                lhs = val[a | 1 << i] + val[a | 1 << j]
+                rhs = val[a | 1 << i | 1 << j] + val[a]
+                if (lhs < rhs) if submodular else (lhs > rhs):
+                    return ExchangeWitness(a, i, j)
+    return None
+
+
+def equal_distribution_densities(w: WeightedSpace) -> Iterator[tuple[Fraction, ...]]:
+    """All density vectors whose level sets carry the same nu-masses.
+
+    These are exactly the densities of the measures absolutely continuous
+    in nu that share the distribution of w's density. Elements of zero
+    nu-weight are left untouched: their value never affects any mass or
+    integral. Positive-weight elements take levels in index order,
+    smallest level first.
+    """
+    weights = w.nu.weights
+    positive = [i for i in range(w.ground.size) if weights[i] > 0]
+    need: dict[Fraction, Fraction] = {}
+    for i in positive:
+        d = w.density[i]
+        need[d] = need.get(d, Fraction(0)) + weights[i]
+    values = sorted(need)
+    current = list(w.density)
+
+    def assign(k: int) -> Iterator[tuple[Fraction, ...]]:
+        if k == len(positive):
+            yield tuple(current)
+            return
+        i = positive[k]
+        wi = weights[i]
+        for val in values:
+            if need[val] >= wi:
+                need[val] -= wi
+                current[i] = val
+                yield from assign(k + 1)
+                need[val] += wi
+
+    yield from assign(0)
+
+
+def brute_rearrangement_sup(
+    w: WeightedSpace, f: SimpleFunction
+) -> tuple[Fraction, tuple[Fraction, ...]]:
+    """Literal sweep over the equal-distribution class; first best density wins."""
+    best = None
+    best_density = None
+    for density in equal_distribution_densities(w):
+        val = sum(
+            (fv * d * wt for fv, d, wt in zip(f.values, density, w.nu.weights)),
+            Fraction(0),
+        )
+        if best is None or val > best:
+            best, best_density = val, density
+    return best, best_density
 
 
 def frac(x) -> Fraction:

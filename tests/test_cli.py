@@ -1,6 +1,8 @@
 """Document round-trips, command behavior, exit codes, persistence."""
 
 import json
+import random
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -207,6 +209,54 @@ class TestIterateCommand:
         assert "v_1" in out
 
 
+    def test_long_derived_values_print_exactly(self, tmp_path, capsys, monkeypatch):
+        """Derived values past the interpreter's int-to-str limit print in full."""
+        v1, v2, v12 = (Fraction(1, 10**4000 + 1), Fraction(1, 10**4000 + 3),
+                       Fraction(1, 10**3999 + 7))
+        path = write_doc(tmp_path, "long.json", {
+            "ground_set": ["1", "2"],
+            "values": {"": "0", "1": str(v1), "2": str(v2), "1,2": str(v12)}})
+        limit = sys.get_int_max_str_digits()
+        try:
+            sys.set_int_max_str_digits(0)
+            # One step reaches the modular fixed point v12 - v2, v12 - v1, v12.
+            want = [str(v12 - v2), str(v12 - v1), str(v12)]
+        finally:
+            sys.set_int_max_str_digits(limit)
+        assert max(map(len, want)) > limit
+        store = tmp_path / "store"
+        monkeypatch.setenv("CHAINREP_DATA_DIR", str(store))
+        code = main(["iterate", path, "--format", "json"])
+        out, err = capsys.readouterr()
+        assert code == EXIT_OK and "Traceback" not in err
+        rows = json.loads(out)["iterates"]
+        assert [rows[1][k] for k in ("1", "2", "1,2")] == want
+        record, = store.glob("*/run-*.json")
+        assert json.loads(record.read_text())["outputs"]["iterates"] == rows
+        code = main(["iterate", path, "--no-persist"])
+        out, err = capsys.readouterr()
+        assert code == EXIT_OK and "Traceback" not in err
+        v_1 = next(line for line in out.splitlines() if line.startswith("v_1"))
+        assert v_1.split() == ["v_1", "0"] + want + ["yes"]
+        assert sys.get_int_max_str_digits() == limit
+
+
+    def test_long_values_under_a_lowered_digit_limit(self, tmp_path, capsys):
+        """The digit bound on input is the document grammar's, not the interpreter's."""
+        big = "7" * 1000
+        path = write_doc(tmp_path, "big.json", {
+            "ground_set": ["1"], "values": {"": "0", "1": big}})
+        limit = sys.get_int_max_str_digits()
+        try:
+            sys.set_int_max_str_digits(640)
+            code = main(["dual", path, "--no-persist"])
+        finally:
+            sys.set_int_max_str_digits(limit)
+        out, err = capsys.readouterr()
+        assert code == EXIT_OK and "Traceback" not in err
+        assert json.loads(out)["values"]["1"] == big
+
+
 class TestReproTableCommand:
     def test_clean_run_matches(self, capsys):
         code = main(["repro-table", "--no-persist"])
@@ -298,6 +348,19 @@ class TestSpectralCommand:
         out = capsys.readouterr().out
         assert code == EXIT_OK
         assert "strict gap above the mu pairing: 2" in out
+
+    def test_twelve_elements_uniform_distinct(self, tmp_path, capsys):
+        """The supremum over the 12! rearrangements is the sorted pairing."""
+        rng = random.Random(12)
+        density = rng.sample(range(1, 100), 12)
+        f = [rng.randint(0, 20) for _ in range(12)]
+        path = weighted_doc(tmp_path, ["3/2"] * 12, [str(d) for d in density])
+        code = main(["spectral", path, "--f", ",".join(map(str, f)),
+                     "--no-persist", "--format", "json"])
+        out, err = capsys.readouterr()
+        assert code == EXIT_OK and "Traceback" not in err
+        paired = Fraction(3, 2) * sum(a * b for a, b in zip(sorted(f), sorted(density)))
+        assert json.loads(out)["rearrangement_supremum"] == str(paired)
 
     def test_negative_f_rejected(self, tmp_path, capsys):
         path = weighted_doc(tmp_path, ["1", "1"], ["2", "0"])

@@ -25,7 +25,6 @@ from chainrep import (
     distribution_of_density,
     distribution_of_function,
     domination_report,
-    equal_distribution_densities,
     is_monotone,
     is_submodular,
     kusuoka_measure,
@@ -40,6 +39,7 @@ from chainrep import (
 from chainrep.lawinv import distribution_integral, quantile_integral
 
 import support
+from support import equal_distribution_densities
 
 
 def g(m):
@@ -288,6 +288,37 @@ class TestEqualDistributionClass:
                 alt = distribution_of_density(other)
                 assert alt.breakpoints == base.breakpoints
                 assert alt.levels == base.levels
+
+
+class TestRearrangementSup:
+    """The mass-vector DP against the literal sweep of the class."""
+
+    def space(self, rng, m, uniform, distinct):
+        ground = g(m)
+        if uniform:
+            nu = (Fraction(rng.choice((1, 2, "1/3"))),) * m
+        else:
+            nu = tuple(Fraction(rng.choice((0, 1, 2, 3, "1/2", "2/3"))) for _ in range(m))
+            if not any(nu):
+                nu = (Fraction(1),) + nu[1:]
+        if distinct:
+            density = tuple(Fraction(x, 3) for x in rng.sample(range(0, 30), m))
+        else:
+            density = tuple(Fraction(rng.choice((0, 1, "5/3", "7/2"))) for _ in range(m))
+        return WeightedSpace(ground, DiscreteMeasure(ground, nu), density)
+
+    def test_matches_literal_sweep_value_and_density(self):
+        rng = random.Random(313)
+        for m in range(1, 8):
+            for trial in range(36 if m < 7 else 8):
+                w = self.space(rng, m, uniform=trial % 3 == 0, distinct=trial % 2 == 0)
+                # Pools with ties, negatives and thirds; a constant f makes
+                # every density optimal, so the witness is the first one.
+                pool = ((2,), (-1, 0, 2), (-2, "1/3", 3, "-5/4"))[trial % 3]
+                f = fn(w.ground, [rng.choice(pool) for _ in range(m)])
+                got = rearrangement_sup(w, f)
+                assert got == support.brute_rearrangement_sup(w, f)
+                assert isinstance(got[0], Fraction)
 
 
 class TestComonotoneAttainment:

@@ -141,6 +141,37 @@ class TestSubmodular:
                 assert is_supermodular(v)[0] == support.brute_supermodular(v)
 
 
+class TestWitnessesOnTheIntegerImage:
+    """The predicates scan the common-denominator integer image; their
+    witnesses equal those of the literal Fraction scans."""
+
+    DENOMINATORS = (1, 3, 10**30 + 7, 3**40, 2**61 - 1, 97 * 10**12)
+
+    def perturbed(self, rng, v):
+        """Scale by a large-denominator rational, then nudge a few subsets by
+        amounts far below the scale, so ties break at tiny differences."""
+        scale = Fraction(rng.randint(1, 9), rng.choice(self.DENOMINATORS))
+        values = [x * scale for x in v.values]
+        for s in rng.sample(range(1, len(values)), min(3, len(values) - 1)):
+            values[s] += Fraction(rng.choice((-1, 1)), rng.choice(self.DENOMINATORS) * 10**40)
+        return SetFunction(v.ground, tuple(values))
+
+    def test_mixed_large_denominators(self):
+        rng = random.Random(29)
+        seen = set()
+        for m in (1, 2, 3, 4, 5, 6):
+            for _ in range(40):
+                v = self.perturbed(rng, support.random_submodular(rng, g(m)))
+                for got, want in (
+                    (is_monotone(v), support.brute_monotone_witness(v)),
+                    (is_submodular(v), support.brute_exchange_witness(v, True)),
+                    (is_supermodular(v), support.brute_exchange_witness(v, False)),
+                ):
+                    assert got == (want is None, want)
+                    seen.add(want is None)
+        assert seen == {True, False}
+
+
 class TestSupermodular:
     def test_squared_cardinality(self):
         v = SetFunction.from_callable(g(3), lambda s: bin(s).count("1") ** 2)
