@@ -557,9 +557,16 @@ def cvar_component(
         raise ValueError("integrand lives on a different ground set")
     if not f.is_nonnegative():
         raise NegativeValues("tail component requires f >= 0")
-    cap = alpha * w.nu.total
     dist = distribution_of_function(w.nu, f.values)
-    return w.mu_total / cap * _survival_min_integral(dist, cap)
+    return _tail_component(dist, w.nu.total, w.mu_total, alpha)
+
+
+def _tail_component(
+    dist: StepDistribution, nu_total: Fraction, mu_total: Fraction, alpha: Fraction
+) -> Fraction:
+    """:func:`cvar_component` from f's distribution and the two totals."""
+    cap = alpha * nu_total
+    return mu_total / cap * _survival_min_integral(dist, cap)
 
 
 @dataclass(frozen=True)
@@ -583,10 +590,12 @@ def spectral_decomposition_check(
         raise NegativeValues("spectral decomposition requires f >= 0")
     direct = v_mu_integral(w, f)
     spectral = kusuoka_measure(w)
+    dist = distribution_of_function(w.nu, f.values)
+    nu_total, mu_total = w.nu.total, w.mu_total
     components = []
     acc = ZERO
     for alpha, mass in spectral.atoms:
-        val = cvar_component(w, f, alpha)
+        val = _tail_component(dist, nu_total, mu_total, alpha)
         components.append((alpha, mass, val))
         acc += mass * val
     report = SpectralDecompositionReport(direct, acc, tuple(components))

@@ -6,6 +6,11 @@ full sets, and has exactly the submodular functions as fixed points; on
 three elements a single step always suffices, and for functions that
 depend only on cardinality the closed form below ends the recursion in
 one step for every ground size.
+
+A step computes every value at once from one table of chain optima
+(:func:`chainrep.chains.chain_opt_all`) on the integer image of v:
+O(3^m * m) integer operations and O(3^m) memory, against m! chains for
+each subset in the literal sweep, which the tests keep as the oracle.
 """
 
 from __future__ import annotations
@@ -13,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .chains import chain_opt_tails, indicator, require_sweepable
+from .chains import chain_opt_all, require_sweepable
 from .errors import InternalConsistencyError, MaxStepsExceeded, ProfileNotMonotone
 from .setfn import (
     GroundSet, SetFunction, as_scalar, int_image, is_submodular, require_monotone,
@@ -25,12 +30,8 @@ def recursion_step(v: SetFunction) -> SetFunction:
     require_sweepable(v.ground)
     require_monotone(v, "the recursion step")
     values, den = int_image(v.values)
-    m = v.ground.size
-    out = tuple(
-        Fraction(chain_opt_tails(values, indicator(a, m), maximize=True)[0], den)
-        for a in v.ground.subsets()
-    )
-    return SetFunction(v.ground, out)
+    out = chain_opt_all(values, maximize=True)
+    return SetFunction(v.ground, tuple(Fraction(x, den) for x in out))
 
 
 @dataclass(frozen=True)

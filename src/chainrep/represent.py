@@ -14,25 +14,34 @@ equivalent, and this module decides each one independently:
 The supermodular mirror replaces maxima by minima and the lower core by
 the upper core.
 
-The chain maximum in (c) is the lattice-path dynamic program of
-:func:`chainrep.chains.chain_opt` with the indicator of the target subset
-as weights: only steps that add an element of the subset contribute their
-increment. The DP is exhaustive-equivalent to sweeping all m! chains and
-is cross-checked against the literal sweep in the test suite. Arithmetic
-is exact throughout: values are scaled to a common denominator and the DP
-runs on integers. Route (b) alone sweeps the m! chains literally.
+Each route runs on the common-denominator integer image of v, built once
+per report, so arithmetic is exact and no Fraction, chain or measure
+object is built inside the loops:
+
+* (b) sweeps the m! chains literally, m! * 2^m work: the sweep is the
+  statement being checked;
+* (c) fills one all-subsets table of chain optima,
+  :func:`chainrep.chains.chain_opt_all`, in O(3^m * m), and rebuilds the
+  lex-first witness chain for the first failing subset only;
+* (d) telescopes v along each nested pair and sums over the submasks of A
+  only, O(5^m) in all.
+
+The chain optima agree with the literal m! sweep, witness chain included;
+the tests check every route against its literal oracle.
 """
 
 from __future__ import annotations
 
+import itertools
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .chains import (
     Chain,
     DiscreteMeasure,
-    all_chains,
     chain_opt,
+    chain_opt_all,
     chain_opt_tails,
     extremal_measure,
     indicator,
@@ -42,7 +51,9 @@ from .chains import (
     subset_sums,
 )
 from .errors import NotNested
-from .setfn import SetFunction, int_image, is_submodular, is_supermodular, require_monotone
+from .setfn import (
+    GroundSet, SetFunction, int_image, is_submodular, is_supermodular, require_monotone,
+)
 
 
 def sup_over_chains(v: SetFunction, a_mask: int) -> tuple[Fraction, Chain]:
@@ -180,56 +191,81 @@ class EquivalenceReport:
 
 
 def _extremal_measures_in_core(
-    v: SetFunction, lower: bool
+    ground: GroundSet, values: list[int], lower: bool
 ) -> tuple[bool, tuple[Chain, int] | None]:
-    """(b): every chain's telescoped measure is dominated by / dominates v."""
-    values, _den = int_image(v.values)
-    m = v.ground.size
-    size = 1 << m
-    for chain in all_chains(v.ground):
+    """(b): every chain's telescoped measure is dominated by / dominates v.
+
+    The literal sweep over the m! permutations, on the integer image; the
+    witness is the first chain in lexicographic order and its first
+    violated mask in bitmask order.
+    """
+    m = ground.size
+    beyond = operator.gt if lower else operator.lt
+    for order in itertools.permutations(range(m)):
         weights = [0] * m
         prev = 0
         mask = 0
-        for i in chain.order:
+        for i in order:
             mask |= 1 << i
             cur = values[mask]
             weights[i] = cur - prev
             prev = cur
         sums = subset_sums(weights)
-        for s in range(size):
-            bad = sums[s] > values[s] if lower else sums[s] < values[s]
-            if bad:
-                return False, (chain, s)
+        if any(map(beyond, sums, values)):
+            s = next(s for s, x in enumerate(sums) if beyond(x, values[s]))
+            return False, (Chain(ground, order), s)
     return True, None
 
 
 def _sup_matches_everywhere(
-    v: SetFunction, maximize: bool
+    ground: GroundSet, values: list[int], maximize: bool
 ) -> tuple[bool, tuple[int, Chain] | None]:
-    """(c): the chain optimum agrees with v on every subset."""
-    values, _den = int_image(v.values)
-    m = v.ground.size
-    for a in v.ground.subsets():
-        weights = indicator(a, m)
-        tails = chain_opt_tails(values, weights, maximize)
-        if tails[0] != values[a]:
-            return False, (a, Chain(v.ground, lex_first_order(values, weights, tails)))
-    return True, None
+    """(c): the chain optimum agrees with v on every subset.
+
+    One all-subsets table decides it; the lex-first witness chain is
+    rebuilt for the first failing subset only.
+    """
+    opt = chain_opt_all(values, maximize)
+    if opt == values:
+        return True, None
+    a = next(a for a, (x, y) in enumerate(zip(opt, values)) if x != y)
+    weights = indicator(a, ground.size)
+    tails = chain_opt_tails(values, weights, maximize)
+    return False, (a, Chain(ground, lex_first_order(values, weights, tails)))
 
 
 def _local_candidates_in_core(
-    v: SetFunction, lower: bool
+    values: list[int], lower: bool
 ) -> tuple[bool, tuple[int, int, int] | None]:
-    """(d): the constructive nested-pair measures all lie in the local core."""
-    for a in v.ground.subsets():
-        b = 0
-        while True:
-            report = local_core_attainment(v, a, b, lower=lower)
-            if not report.in_core:
-                return False, (a, b, report.violated)
-            if b == a:
-                break
-            b = (b - a) & a
+    """(d): the constructive nested-pair measures all lie in the local core.
+
+    For the pair B <= A the chain lists B, then A - B, each in index
+    order, so the measure restricted to A telescopes v along those two
+    runs; its sums over the submasks of A are compared with v there.
+    Local bit k of a submask stands for the k-th element of A, so local
+    order is increasing submask order: the witness is the first A in
+    bitmask order, then the first B and the first violated C <= A.
+    """
+    beyond = operator.gt if lower else operator.lt
+    for a in range(len(values)):
+        elems = [1 << i for i in range(a.bit_length()) if a >> i & 1]
+        subs = subset_sums(elems)  # the submasks of A, in increasing order
+        caps = [values[c] for c in subs]
+        local = range(len(elems))
+        for j, b in enumerate(subs):
+            order = [k for k in local if j >> k & 1]
+            order += [k for k in local if not j >> k & 1]
+            weights = [0] * len(elems)
+            mask = prev = 0
+            for k in order:
+                mask |= elems[k]
+                cur = values[mask]
+                weights[k] = cur - prev
+                prev = cur
+            sums = subset_sums(weights)
+            if any(map(beyond, sums, caps)):
+                k = next(k for k, x in enumerate(sums) if beyond(x, caps[k]))
+                return False, (a, b, subs[k])
     return True, None
 
 
@@ -237,9 +273,10 @@ def _verify(v: SetFunction, lower: bool) -> EquivalenceReport:
     require_monotone(v, "equivalence verification")
     require_sweepable(v.ground)
     a_holds, a_wit = is_submodular(v) if lower else is_supermodular(v)
-    b_holds, b_wit = _extremal_measures_in_core(v, lower)
-    c_holds, c_wit = _sup_matches_everywhere(v, maximize=lower)
-    d_holds, d_wit = _local_candidates_in_core(v, lower)
+    values, _den = int_image(v.values)
+    b_holds, b_wit = _extremal_measures_in_core(v.ground, values, lower)
+    c_holds, c_wit = _sup_matches_everywhere(v.ground, values, maximize=lower)
+    d_holds, d_wit = _local_candidates_in_core(values, lower)
     return EquivalenceReport(
         "submodular" if lower else "supermodular",
         a_holds, a_wit, b_holds, b_wit, c_holds, c_wit, d_holds, d_wit,

@@ -21,8 +21,12 @@ from chainrep import (
     SimpleFunction,
     WeightedSpace,
     all_chains,
+    dual_transform,
     extremal_measure,
+    local_core_attainment,
 )
+from chainrep.chains import chain_opt_tails, indicator, lex_first_order
+from chainrep.setfn import int_image
 
 
 # ---------------------------------------------------------------------------
@@ -136,6 +140,29 @@ def comonotone_partner(rng: random.Random, w: WeightedSpace,
     return SimpleFunction(w.ground, tuple(vals))
 
 
+def route_inputs(seed: int, m: int, count: int):
+    """Submodular and generic monotone inputs and their duals.
+
+    The second submodular input adds a modular part in thirds and fifths,
+    and the rational generic input mixes denominators 1..4.
+    """
+    rng = random.Random(seed)
+    ground = GroundSet.of_size(m)
+    for _ in range(count):
+        sub = random_submodular(rng, ground)
+        modular = DiscreteMeasure(ground, tuple(
+            Fraction(rng.randint(0, 4), rng.choice((1, 3, 5))) for _ in range(m)
+        ))
+        mixed = SetFunction(ground, tuple(
+            x + y for x, y in zip(sub.values, modular.subset_sums())
+        ))
+        generic = random_monotone(rng, ground)
+        rational = random_monotone(rng, ground, rational=True)
+        for v in (sub, mixed, generic, rational):
+            yield v
+            yield dual_transform(v)
+
+
 # ---------------------------------------------------------------------------
 # oracles
 
@@ -198,6 +225,60 @@ def brute_choquet_sup(v: SetFunction, f: SimpleFunction) -> tuple[Fraction, Chai
         if best is None or val > best:
             best, witness = val, chain
     return best, witness
+
+
+def brute_route_b(
+    v: SetFunction, lower: bool
+) -> tuple[bool, tuple[Chain, int] | None]:
+    """Route (b) over ``all_chains``: the first chain whose telescoped measure
+    leaves the lower (upper) core, with its first violated mask."""
+    for chain in all_chains(v.ground):
+        sums = extremal_measure(v, chain).subset_sums()
+        for s in v.ground.subsets():
+            if sums[s] > v.values[s] if lower else sums[s] < v.values[s]:
+                return False, (chain, s)
+    return True, None
+
+
+def brute_route_c(
+    v: SetFunction, maximize: bool
+) -> tuple[bool, tuple[int, Chain] | None]:
+    """Route (c) with one lattice-path DP per subset, in bitmask order."""
+    values, _den = int_image(v.values)
+    m = v.ground.size
+    for a in v.ground.subsets():
+        weights = indicator(a, m)
+        tails = chain_opt_tails(values, weights, maximize)
+        if tails[0] != values[a]:
+            return False, (a, Chain(v.ground, lex_first_order(values, weights, tails)))
+    return True, None
+
+
+def brute_route_d(
+    v: SetFunction, lower: bool
+) -> tuple[bool, tuple[int, int, int] | None]:
+    """Route (d) with one ``local_core_attainment`` per nested pair B <= A,
+    A in bitmask order, B in increasing submask order."""
+    for a in v.ground.subsets():
+        b = 0
+        while True:
+            report = local_core_attainment(v, a, b, lower=lower)
+            if not report.in_core:
+                return False, (a, b, report.violated)
+            if b == a:
+                break
+            b = (b - a) & a
+    return True, None
+
+
+def brute_recursion_step(v: SetFunction) -> SetFunction:
+    """One chain-supremum step with one lattice-path DP per subset."""
+    values, den = int_image(v.values)
+    m = v.ground.size
+    return SetFunction(v.ground, tuple(
+        Fraction(chain_opt_tails(values, indicator(a, m), True)[0], den)
+        for a in v.ground.subsets()
+    ))
 
 
 def brute_monotone_witness(v: SetFunction) -> MonotoneWitness | None:

@@ -19,6 +19,7 @@ from chainrep import (
     insert_into_chain,
     insert_nested_pair,
 )
+from chainrep.chains import chain_opt_all, chain_opt_tails, indicator, subset_sums
 from chainrep.counterexample import GROUND, V0
 
 import support
@@ -181,3 +182,36 @@ class TestDiscreteMeasure:
         v = mu.as_set_function()
         assert v.values[0b111] == 9
         assert v.values[0b101] == 6
+
+
+class TestSubsetSums:
+    @staticmethod
+    def indexed(weights):
+        """The lowest-set-bit recurrence, mask by mask."""
+        sums = [0] * (1 << len(weights))
+        for s in range(1, 1 << len(weights)):
+            low = s & -s
+            sums[s] = sums[s ^ low] + weights[low.bit_length() - 1]
+        return sums
+
+    def test_matches_indexed_loop(self):
+        rng = random.Random(211)
+        for m in range(11):
+            ints = [rng.randint(-9, 9) for _ in range(m)]
+            fracs = [Fraction(rng.randint(-9, 9), rng.randint(1, 6)) for _ in range(m)]
+            for weights in (ints, fracs):
+                got, want = subset_sums(weights), self.indexed(weights)
+                assert got == want
+                assert [type(x) for x in got] == [type(x) for x in want]
+
+
+class TestChainOptAll:
+    def test_matches_one_dp_per_subset(self):
+        rng = random.Random(223)
+        for m in range(1, 8):
+            for _ in range(4):
+                values = [0] + [rng.randint(-4, 12) for _ in range((1 << m) - 1)]
+                for maximize in (True, False):
+                    want = [chain_opt_tails(values, indicator(a, m), maximize)[0]
+                            for a in range(1 << m)]
+                    assert chain_opt_all(values, maximize) == want

@@ -522,3 +522,14 @@ class TestSpectralDecomposition:
             f = support.random_simple(rng, g(m), lo=0, hi=6)
             report = spectral_decomposition_check(w, f)
             assert report.agrees
+
+    def test_components_are_the_tail_components(self):
+        rng = random.Random(200)
+        for _ in range(20):
+            m = rng.randint(1, 5)
+            w = support.random_weighted_space(rng, g(m))
+            if w.mu_total == 0:
+                continue
+            f = support.random_simple(rng, g(m), lo=0, hi=6)
+            for alpha, _mass, value in spectral_decomposition_check(w, f).components:
+                assert value == cvar_component(w, f, alpha)

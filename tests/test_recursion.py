@@ -51,6 +51,11 @@ class TestRecursionStep:
             assert all(w.values[s] >= v.values[s] for s in g(4).subsets())
             assert all(w.values[s] <= v.values[full] for s in g(4).subsets())
 
+    def test_matches_per_subset_oracle(self):
+        for m in (1, 2, 3, 4, 5, 6):
+            for v in support.route_inputs(700 + m, m, 2):
+                assert recursion_step(v).values == support.brute_recursion_step(v).values
+
     def test_rejects_non_monotone(self):
         v = SetFunction(g(2), (Fraction(0), Fraction(2), Fraction(1), Fraction(1)))
         with pytest.raises(ValueError):

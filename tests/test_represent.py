@@ -222,3 +222,22 @@ class TestEquivalence:
         assert b & ~a == 0
         rep = local_core_attainment(V0, a, b)
         assert not rep.in_core and rep.violated == violated
+
+
+class TestRoutesMatchLiteralOracles:
+    """Routes (b)-(d) give the literal oracles' booleans and witnesses."""
+
+    COUNT = {1: 4, 2: 4, 3: 4, 4: 3, 5: 2, 6: 1}
+
+    @pytest.mark.parametrize("m", sorted(COUNT))
+    def test_booleans_and_witnesses(self, m):
+        for v in support.route_inputs(600 + m, m, self.COUNT[m]):
+            for lower in (True, False):
+                report = (verify_submodular_equivalence(v) if lower
+                          else verify_supermodular_equivalence(v))
+                assert (report.b_holds, report.b_witness) == \
+                    support.brute_route_b(v, lower)
+                assert (report.c_holds, report.c_witness) == \
+                    support.brute_route_c(v, maximize=lower)
+                assert (report.d_holds, report.d_witness) == \
+                    support.brute_route_d(v, lower)
