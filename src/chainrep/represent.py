@@ -18,13 +18,25 @@ Each route runs on the common-denominator integer image of v, built once
 per report, so arithmetic is exact and no Fraction, chain or measure
 object is built inside the loops:
 
-* (b) sweeps the m! chains literally, m! * 2^m work: the sweep is the
-  statement being checked;
+* (b) sweeps the m! chains literally: the sweep is the statement being
+  checked;
 * (c) fills one all-subsets table of chain optima,
   :func:`chainrep.chains.chain_opt_all`, in O(3^m * m), and rebuilds the
   lex-first witness chain for the first failing subset only;
-* (d) telescopes v along each nested pair and sums over the submasks of A
-  only, O(5^m) in all.
+* (d) telescopes v along each nested pair and compares over the submasks
+  of A only.
+
+The core comparisons of (b), (d) and :func:`in_lower_core`,
+:func:`in_upper_core` and :func:`local_core_attainment` run on the lane
+kernel of :mod:`chainrep.setfn` (``_CoreLanes``): the caps v(C) are packed
+once into lanes of one int, each telescoped measure's subset sums are
+built by doubling inside the lanes, about 4 big-int operations per
+element, and compared with the caps in three more. A lane is wide enough
+for every cap and sum, so no carry crosses it and the result is exact; the
+first violated subset is the lowest failing lane, the same witness as the
+literal scan in bitmask order. So (b) costs m! telescopings of m steps
+each and O(m) big-int operations per chain, and (d) the same per nested
+pair, 3^m of them.
 
 The chain optima agree with the literal m! sweep, witness chain included;
 the tests check every route against its literal oracle.
@@ -33,7 +45,6 @@ the tests check every route against its literal oracle.
 from __future__ import annotations
 
 import itertools
-import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -52,7 +63,8 @@ from .chains import (
 )
 from .errors import NotNested
 from .setfn import (
-    GroundSet, SetFunction, int_image, is_submodular, is_supermodular, require_monotone,
+    GroundSet, SetFunction, _CoreLanes, int_image, is_submodular, is_supermodular,
+    require_monotone,
 )
 
 
@@ -147,16 +159,18 @@ def local_core_attainment(
 def _restricted_core_check(
     v: SetFunction, mu: DiscreteMeasure, a_mask: int, lower: bool
 ) -> tuple[bool, int | None]:
-    # Walk the submasks of A in increasing bitmask order.
-    sums = mu.subset_sums()
-    c = 0
-    while True:
-        bad = sums[c] > v.values[c] if lower else sums[c] < v.values[c]
-        if bad:
-            return False, c
-        if c == a_mask:
-            return True, None
-        c = (c - a_mask) & a_mask  # next submask
+    # One lane comparison over the submasks of A, in increasing bitmask
+    # order, on the common-denominator image of v and mu together.
+    ints, _den = int_image(v.values + mu.weights)
+    vals, wts = ints[:len(v.values)], ints[len(v.values):]
+    elems = [i for i in range(v.ground.size) if a_mask >> i & 1]
+    subs = subset_sums([1 << i for i in elems])
+    caps = [vals[c] for c in subs]
+    local = [wts[i] for i in elems]
+    # caps[0] = v(empty) = 0 and the weights are nonnegative, so every
+    # subset sum lies in [0, sum(local)].
+    k = _CoreLanes(caps, min(caps), max(max(caps), sum(local)), lower).first_escape(local)
+    return (True, None) if k is None else (False, subs[k])
 
 
 @dataclass(frozen=True)
@@ -200,7 +214,9 @@ def _extremal_measures_in_core(
     violated mask in bitmask order.
     """
     m = ground.size
-    beyond = operator.gt if lower else operator.lt
+    # v is monotone, so 0 = v(empty) <= v <= v(full) and every chain's
+    # subset sums lie in [0, v(full)] as well.
+    lanes = _CoreLanes(values, 0, values[-1], lower)
     for order in itertools.permutations(range(m)):
         weights = [0] * m
         prev = 0
@@ -210,9 +226,8 @@ def _extremal_measures_in_core(
             cur = values[mask]
             weights[i] = cur - prev
             prev = cur
-        sums = subset_sums(weights)
-        if any(map(beyond, sums, values)):
-            s = next(s for s, x in enumerate(sums) if beyond(x, values[s]))
+        s = lanes.first_escape(weights)
+        if s is not None:
             return False, (Chain(ground, order), s)
     return True, None
 
@@ -246,11 +261,11 @@ def _local_candidates_in_core(
     order is increasing submask order: the witness is the first A in
     bitmask order, then the first B and the first violated C <= A.
     """
-    beyond = operator.gt if lower else operator.lt
     for a in range(len(values)):
         elems = [1 << i for i in range(a.bit_length()) if a >> i & 1]
         subs = subset_sums(elems)  # the submasks of A, in increasing order
-        caps = [values[c] for c in subs]
+        # v is monotone: caps and every telescoped sum lie in [0, v(A)].
+        lanes = _CoreLanes([values[c] for c in subs], 0, values[a], lower)
         local = range(len(elems))
         for j, b in enumerate(subs):
             order = [k for k in local if j >> k & 1]
@@ -262,9 +277,8 @@ def _local_candidates_in_core(
                 cur = values[mask]
                 weights[k] = cur - prev
                 prev = cur
-            sums = subset_sums(weights)
-            if any(map(beyond, sums, caps)):
-                k = next(k for k, x in enumerate(sums) if beyond(x, caps[k]))
+            k = lanes.first_escape(weights)
+            if k is not None:
                 return False, (a, b, subs[k])
     return True, None
 

@@ -163,6 +163,53 @@ def route_inputs(seed: int, m: int, count: int):
             yield dual_transform(v)
 
 
+# Spans at the byte boundaries of the packed lanes: their bit lengths are 7
+# to 17, and lanes are whole bytes of at least bit length + 2 bits.
+LANE_SPANS = tuple(s for k in (7, 8, 15, 16) for s in ((1 << k) - 1, 1 << k))
+# Numerators of 4000 digits over denominators up to 3^40.
+BIG_NUMERATOR, BIG_DENOMINATOR = 10 ** 4000, 3 ** 40
+
+
+def lane_edge_inputs(rng: random.Random, m: int) -> Iterator[SetFunction]:
+    """Inputs at the edges of the lane kernel's width bound.
+
+    The zero function (span 0); for every span in ``LANE_SPANS`` a function
+    taking negative and non-monotone values whose minimum and maximum are
+    exactly that span apart, mostly at the two extremes so that exchange
+    sums reach +-2 span, and two monotone extremes, span * [A nonempty]
+    (submodular) and span * [A holds the first two elements] (supermodular,
+    and not submodular already at the empty base); and a non-monotone and
+    a monotone function with 4000-digit numerators over random denominators
+    up to 3^40, whose integer images have 4000 digits or more.
+    """
+    ground = GroundSet.of_size(m)
+    n = 1 << m
+    yield SetFunction(ground, (Fraction(0),) * n)
+    for span in LANE_SPANS:
+        lo = rng.choice((0, -span, -rng.randint(1, span - 1)))
+        values = [rng.choice((lo, lo + span, rng.randint(lo, lo + span))) for _ in range(n)]
+        values[0] = 0
+        if n == 2:
+            values[1] = lo if lo else span
+        else:
+            low, high = rng.sample(range(1, n), 2)
+            values[low], values[high] = lo, lo + span
+        yield SetFunction(ground, tuple(values))
+        yield SetFunction.from_callable(ground, lambda s: span if s else 0)
+        yield SetFunction.from_callable(ground, lambda s: span if s & 3 == 3 else 0)
+    yield SetFunction(ground, tuple([Fraction(0)] + [
+        Fraction(rng.choice((-1, 1)) * rng.randint(BIG_NUMERATOR, 2 * BIG_NUMERATOR),
+                 rng.randint(1, BIG_DENOMINATOR))
+        for _ in range(n - 1)
+    ]))
+    values = [Fraction(0)] * n
+    for s in range(1, n):
+        floor = max(values[s ^ (1 << i)] for i in range(m) if s >> i & 1)
+        bump = rng.randint(BIG_NUMERATOR, 2 * BIG_NUMERATOR)
+        values[s] = floor + Fraction(bump, rng.randint(1, BIG_DENOMINATOR))
+    yield SetFunction(ground, tuple(values))
+
+
 # ---------------------------------------------------------------------------
 # oracles
 
@@ -254,17 +301,45 @@ def brute_route_c(
     return True, None
 
 
+def brute_core_check(
+    v: SetFunction, mu: DiscreteMeasure, a_mask: int, lower: bool
+) -> tuple[bool, int | None]:
+    """Literal Fraction scan of mu(C) against v(C) over the submasks C of A,
+    in increasing bitmask order; the first C on the wrong side is the witness."""
+    for c in v.ground.subsets():
+        if c & ~a_mask:
+            continue
+        mass = mu.mass(c)
+        if mass > v.values[c] if lower else mass < v.values[c]:
+            return False, c
+    return True, None
+
+
+def brute_core_membership(
+    v: SetFunction, mu: DiscreteMeasure, lower: bool
+) -> tuple[bool, int | None]:
+    """``in_lower_core`` / ``in_upper_core`` by the literal scan; the full
+    mask is the witness when only the total mass differs."""
+    full = v.ground.full_mask
+    ok, witness = brute_core_check(v, mu, full, lower)
+    if ok and mu.total != v.values[full]:
+        return False, full
+    return ok, witness
+
+
 def brute_route_d(
     v: SetFunction, lower: bool
 ) -> tuple[bool, tuple[int, int, int] | None]:
-    """Route (d) with one ``local_core_attainment`` per nested pair B <= A,
-    A in bitmask order, B in increasing submask order."""
+    """Route (d) with the measure of one ``local_core_attainment`` per nested
+    pair B <= A, A in bitmask order, B in increasing submask order, checked
+    by the literal scan."""
     for a in v.ground.subsets():
         b = 0
         while True:
-            report = local_core_attainment(v, a, b, lower=lower)
-            if not report.in_core:
-                return False, (a, b, report.violated)
+            measure = local_core_attainment(v, a, b, lower=lower).measure
+            ok, violated = brute_core_check(v, measure, a, lower)
+            if not ok:
+                return False, (a, b, violated)
             if b == a:
                 break
             b = (b - a) & a

@@ -23,6 +23,8 @@ from chainrep import (
     verify_supermodular_equivalence,
 )
 from chainrep.counterexample import GROUND, V0, V1_EXPECTED, V2_EXPECTED
+from chainrep.represent import _extremal_measures_in_core, _local_candidates_in_core
+from chainrep.setfn import int_image, is_monotone, is_submodular, is_supermodular
 
 import support
 
@@ -241,3 +243,82 @@ class TestRoutesMatchLiteralOracles:
                     support.brute_route_c(v, maximize=lower)
                 assert (report.d_holds, report.d_witness) == \
                     support.brute_route_d(v, lower)
+
+
+class TestRoutesAtLaneEdges:
+    """Routes (b) and (d) on the packed lanes at the lane-width edges.
+
+    Every failing side is compared with the literal oracle, witness
+    included; a side that holds is compared with the exchange test, and
+    with the literal oracle up to m = 5 (beyond that the literal sweeps
+    over every chain and every nested pair take seconds each).
+    """
+
+    @pytest.mark.parametrize("m", range(1, 9))
+    def test_match_literal_oracles(self, m):
+        for v in support.lane_edge_inputs(random.Random(900 + m), m):
+            if not is_monotone(v)[0]:
+                continue
+            values, _ = int_image(v.values)
+            for lower in (True, False):
+                b = _extremal_measures_in_core(v.ground, values, lower)
+                d = _local_candidates_in_core(values, lower)
+                truth = (is_submodular if lower else is_supermodular)(v)[0]
+                assert b[0] == d[0] == truth
+                if m <= 5 or not truth:
+                    assert b == support.brute_route_b(v, lower)
+                    assert d == support.brute_route_d(v, lower)
+
+
+class TestCoreChecksMatchLiteralScan:
+    """in_lower_core, in_upper_core and local_core_attainment run one lane
+    comparison on the common-denominator image of v and mu; their verdicts
+    and witnesses equal those of the literal Fraction scan."""
+
+    @staticmethod
+    def measures(rng, v):
+        ground = v.ground
+        yield DiscreteMeasure.zero(ground)
+        yield DiscreteMeasure(ground, tuple(
+            Fraction(rng.randint(0, 9), rng.choice((1, 2, 3, 7))) for _ in range(ground.size)
+        ))
+        if is_monotone(v)[0]:
+            order = list(range(ground.size))
+            rng.shuffle(order)
+            yield extremal_measure(v, Chain(ground, order))
+
+    @pytest.mark.parametrize("m", range(1, 8))
+    def test_core_membership(self, m):
+        rng = random.Random(700 + m)
+        ground = g(m)
+        inputs = [support.random_monotone(rng, ground, rational=True),
+                  support.random_submodular(rng, ground),
+                  SetFunction(ground, tuple([Fraction(0)] + [
+                      Fraction(rng.randint(-9, 9), rng.choice((1, 4, 3 ** 40)))
+                      for _ in range((1 << m) - 1)]))]
+        seen = set()
+        for v in inputs:
+            for mu in self.measures(rng, v):
+                for lower, check in ((True, in_lower_core), (False, in_upper_core)):
+                    want = support.brute_core_membership(v, mu, lower)
+                    assert check(v, mu) == want
+                    seen.add(want[0])
+        assert seen == {True, False}
+
+    @pytest.mark.parametrize("m", range(1, 8))
+    def test_local_core_attainment(self, m):
+        rng = random.Random(800 + m)
+        ground = g(m)
+        seen = set()
+        for v in (support.random_monotone(rng, ground, rational=True),
+                  support.random_submodular(rng, ground)):
+            for _ in range(12):
+                a = rng.randrange(1 << m)
+                b = a & rng.randrange(1 << m)
+                for lower in (True, False):
+                    report = local_core_attainment(v, a, b, lower=lower)
+                    want = support.brute_core_check(v, report.measure, a, lower)
+                    assert (report.in_core, report.violated) == want
+                    seen.add(want[0])
+        # On one element every set function is modular.
+        assert seen == ({True} if m == 1 else {True, False})

@@ -18,6 +18,7 @@ from chainrep import (
     is_supermodular,
 )
 from chainrep.counterexample import GROUND, V0, V1_EXPECTED, V2_EXPECTED
+from chainrep.setfn import int_image
 
 import support
 
@@ -170,6 +171,32 @@ class TestWitnessesOnTheIntegerImage:
                     assert got == (want is None, want)
                     seen.add(want is None)
         assert seen == {True, False}
+
+
+class TestLaneWidthEdges:
+    """The packed-lane predicates at the edges of the lane-width bound: the
+    zero function, spans at the byte boundaries of a lane, negative and
+    non-monotone values and images of thousands of digits, against the
+    literal Fraction scans, witnesses included."""
+
+    @pytest.mark.parametrize("m", range(1, 9))
+    def test_predicates_match_literal_scans(self, m):
+        seen = set()
+        for v in support.lane_edge_inputs(random.Random(900 + m), m):
+            for got, want in (
+                (is_monotone(v), support.brute_monotone_witness(v)),
+                (is_submodular(v), support.brute_exchange_witness(v, True)),
+                (is_supermodular(v), support.brute_exchange_witness(v, False)),
+            ):
+                assert got == (want is None, want)
+                seen.add(want is None)
+        assert seen == {True, False}
+
+    def test_edge_images_are_large(self):
+        # The last two inputs carry integer images of 4000 digits or more.
+        for v in list(support.lane_edge_inputs(random.Random(1), 1))[-2:]:
+            ints, _ = int_image(v.values)
+            assert max(map(abs, ints)) >= 10 ** 4000
 
 
 class TestSupermodular:

@@ -1,6 +1,9 @@
-"""Source-level guards on where the library enumerates permutations."""
+"""Source-level guards: where the library enumerates permutations, what it
+imports, and where the lane kernel lives."""
 
 import ast
+import re
+import sys
 from pathlib import Path
 
 import chainrep
@@ -36,3 +39,38 @@ def test_literal_sweeps_only_where_the_sweep_is_the_statement():
         ("chains.py", "all_chains"),
         ("represent.py", "_extremal_measures_in_core"),
     }
+
+
+def test_library_imports_only_the_standard_library():
+    outside = set()
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            outside |= {(path.name, n) for n in names
+                        if n.split(".")[0] not in sys.stdlib_module_names}
+    assert outside == set()
+
+
+def test_no_runtime_dependencies():
+    text = (Path(__file__).parents[1] / "pyproject.toml").read_text()
+    assert re.search(r"^dependencies = \[\]$", text, re.MULTILINE)
+
+
+def test_lane_kernel_defined_once_in_setfn_and_private():
+    # bench/spans.py puts a span on every public function, and the lane
+    # helpers run once per chain, so a public one would swamp a traced run.
+    lanes = [(path.name, node.name) for path in sorted(SRC.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+             if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+             and "lane" in node.name.lower()]
+    assert lanes and {f for f, _ in lanes} == {"setfn.py"}
+    assert all(n.startswith("_") for _, n in lanes)
+    assert len({n for _, n in lanes}) == len(lanes)
+    packing = {path.name for path in SRC.glob("*.py")
+               if re.search(r"\b(from|to)_bytes\b", path.read_text())}
+    assert packing == {"setfn.py"}
