@@ -111,7 +111,8 @@ class DiscreteMeasure:
         return subset_sums(self.weights)
 
     def as_set_function(self) -> SetFunction:
-        return SetFunction(self.ground, tuple(self.subset_sums()))
+        ints, den = int_image(self.weights)
+        return SetFunction.from_image(self.ground, subset_sums(ints), den)
 
     def integral(self, values: Sequence[ScalarLike]) -> Fraction:
         """Sum of value[i] * weight[i] over the ground elements."""
@@ -143,12 +144,13 @@ def extremal_measure(v: SetFunction, chain: Chain) -> DiscreteMeasure:
     """
     if v.ground != chain.ground:
         raise ValueError("set function and chain live on different ground sets")
+    vals = v.values
     weights = [Fraction(0)] * v.ground.size
     prev = Fraction(0)
     mask = 0
     for i in chain.order:
         mask |= 1 << i
-        cur = v.values[mask]
+        cur = vals[mask]
         inc = cur - prev
         if inc < 0:
             raise NonMonotoneAlongChain(
@@ -292,7 +294,7 @@ def chain_opt(
     require_sweepable(v.ground)
     if len(weights) != v.ground.size:
         raise ValueError("one weight per ground element required")
-    values, den = int_image(v.values)
+    values, den = v.image
     wts, wden = int_image(weights)
     tails = chain_opt_tails(values, wts, maximize)
     order = lex_first_order(values, wts, tails)

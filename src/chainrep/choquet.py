@@ -138,7 +138,7 @@ def choquet(v: SetFunction, f: SimpleFunction) -> Fraction:
         raise ValueError("set function and integrand live on different ground sets")
     layers = layer_decompose(f)
     return sum(
-        (a * v.values[mask] for a, mask in zip(layers.coefficients, layers.sets)),
+        (a * v(mask) for a, mask in zip(layers.coefficients, layers.sets)),
         Fraction(0),
     )
 
@@ -171,7 +171,7 @@ def risk_measure(v: SetFunction, f: SimpleFunction) -> Fraction:
     Coherent for monotone submodular v with positive total value; the
     caller is expected to have checked submodularity.
     """
-    top = v.values[v.ground.full_mask]
+    top = v(v.ground.full_mask)
     if top == 0:
         raise ZeroTotalMass("risk measure undefined: v(full) = 0")
     return choquet(v, -f) / top

@@ -28,6 +28,7 @@ import re
 import sys
 from decimal import Decimal
 from fractions import Fraction
+from math import gcd, lcm
 from pathlib import Path
 
 from . import counterexample
@@ -66,6 +67,11 @@ _MAX_DIGITS = 4300
 
 
 def parse_rational(text: str, where: str) -> Fraction:
+    return Fraction(*_parse_ratio(text, where))
+
+
+def _parse_ratio(text: str, where: str) -> tuple[int, int]:
+    """(numerator, positive denominator) of a rational string, in lowest terms."""
     if not isinstance(text, str) or not _RATIONAL_RE.fullmatch(text):
         raise DocumentError(f"{where}: not a rational string: {text!r}")
     num, _, den = text.partition("/")
@@ -77,7 +83,8 @@ def parse_rational(text: str, where: str) -> Fraction:
         num, den = int(Decimal(num)), int(Decimal(den or 1))
     if den == 0:
         raise DocumentError(f"{where}: zero denominator in {text!r}")
-    return Fraction(num, den)
+    g = gcd(num, den)
+    return num // g, den // g
 
 
 def rational_str(x: Fraction) -> str:
@@ -116,7 +123,7 @@ def parse_set_function_document(obj) -> SetFunction:
     raw = obj["values"]
     if not isinstance(raw, dict):
         raise DocumentError("values must be an object")
-    values: list[Fraction | None] = [None] * (1 << ground.size)
+    values: list[tuple[int, int] | None] = [None] * (1 << ground.size)
     for key, text in raw.items():
         labels = key.split(",") if key else []
         if len(set(labels)) != len(labels):
@@ -130,15 +137,16 @@ def parse_set_function_document(obj) -> SetFunction:
                 f"values[{key!r}]: subset already given as "
                 f"{ground.subset_key(mask)!r}"
             )
-        values[mask] = parse_rational(text, f"values[{key!r}]")
+        values[mask] = _parse_ratio(text, f"values[{key!r}]")
     for mask, val in enumerate(values):
         if val is None:
             raise DocumentError(
                 f"missing subset {ground.subset_key(mask)!r} in values"
             )
-    if values[0] != 0:
+    if values[0][0] != 0:
         raise DocumentError("value of the empty subset '' must be 0")
-    return SetFunction(ground, tuple(values))
+    den = lcm(*{d for _, d in values})
+    return SetFunction.from_image(ground, [n * (den // d) for n, d in values], den)
 
 
 def serialize_set_function(v: SetFunction) -> dict:

@@ -32,6 +32,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Sequence
 
 from .chains import DiscreteMeasure, subset_sums
@@ -80,14 +81,24 @@ class WeightedSpace:
         return cls(ground, DiscreteMeasure(ground, weights), tuple(density))
 
     def mu(self) -> DiscreteMeasure:
+        return self._mu
+
+    @property
+    def mu_total(self) -> Fraction:
+        return self._mu.total
+
+    # Built once per space on first use; not fields, so equality and
+    # hashing see only ground, nu and density.
+    @cached_property
+    def _mu(self) -> DiscreteMeasure:
         return DiscreteMeasure(
             self.ground,
             tuple(d * w for d, w in zip(self.density, self.nu.weights)),
         )
 
-    @property
-    def mu_total(self) -> Fraction:
-        return self.mu().total
+    @cached_property
+    def _density_distribution(self) -> StepDistribution:
+        return distribution_of_function(self.nu, self.density)
 
     def density_function(self) -> SimpleFunction:
         return SimpleFunction(self.ground, self.density)
@@ -203,7 +214,8 @@ def distribution_of_function(
 
 
 def distribution_of_density(w: WeightedSpace) -> StepDistribution:
-    return distribution_of_function(w.nu, w.density)
+    """The distribution of w's density; built once per space."""
+    return w._density_distribution
 
 
 def distribution_integral(dist: StepDistribution, upto: ScalarLike) -> Fraction:
@@ -258,13 +270,15 @@ def v_mu_set_function(w: WeightedSpace) -> SetFunction:
     """Materialize the law-invariant function on the whole subset lattice.
 
     v(A) depends on A only through nu(A), so each distinct subset mass is
-    integrated once.
+    integrated once, and the few distinct values go over one denominator.
     """
     dist = distribution_of_density(w)
     ints, den = int_image(w.nu.weights)
     sums = subset_sums(ints)
-    by_mass = {s: _survival_min_integral(dist, Fraction(s, den)) for s in set(sums)}
-    return SetFunction(w.ground, tuple(by_mass[s] for s in sums))
+    masses = list(set(sums))
+    vals, vden = int_image([_survival_min_integral(dist, Fraction(s, den)) for s in masses])
+    by_mass = dict(zip(masses, vals))
+    return SetFunction.from_image(w.ground, [by_mass[s] for s in sums], vden)
 
 
 def v_mu_via_quantile(w: WeightedSpace, a_mask: int) -> Fraction:

@@ -21,7 +21,7 @@ from fractions import Fraction
 from .chains import chain_opt_all, require_sweepable
 from .errors import InternalConsistencyError, MaxStepsExceeded, ProfileNotMonotone
 from .setfn import (
-    GroundSet, SetFunction, as_scalar, int_image, is_submodular, require_monotone,
+    GroundSet, SetFunction, as_scalar, is_submodular, require_monotone,
 )
 
 
@@ -29,9 +29,8 @@ def recursion_step(v: SetFunction) -> SetFunction:
     """One chain-supremum step; requires monotone v with v(empty) = 0."""
     require_sweepable(v.ground)
     require_monotone(v, "the recursion step")
-    values, den = int_image(v.values)
-    out = chain_opt_all(values, maximize=True)
-    return SetFunction(v.ground, tuple(Fraction(x, den) for x in out))
+    ints, den = v.image
+    return SetFunction.from_image(v.ground, chain_opt_all(ints, maximize=True), den)
 
 
 @dataclass(frozen=True)
@@ -75,7 +74,7 @@ def iterate_to_fixed_point(
     flags = [is_submodular(v0)[0]]
     for _ in range(max_steps):
         nxt = recursion_step(iterates[-1])
-        if nxt.values == iterates[-1].values:
+        if nxt == iterates[-1]:
             idx = len(iterates) - 1
             if not flags[idx]:
                 raise InternalConsistencyError(

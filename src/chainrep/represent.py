@@ -14,9 +14,9 @@ equivalent, and this module decides each one independently:
 The supermodular mirror replaces maxima by minima and the lower core by
 the upper core.
 
-Each route runs on the common-denominator integer image of v, built once
-per report, so arithmetic is exact and no Fraction, chain or measure
-object is built inside the loops:
+Each route runs on the common-denominator integer image that v stores, so
+arithmetic is exact and no Fraction, chain or measure object is built
+inside the loops:
 
 * (b) sweeps the m! chains literally: the sweep is the statement being
   checked;
@@ -47,6 +47,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
+from typing import Sequence
 
 from .chains import (
     Chain,
@@ -109,7 +111,7 @@ def _core_membership(
         raise ValueError("set function and measure live on different ground sets")
     full = v.ground.full_mask
     in_core, violated = _restricted_core_check(v, mu, full, lower)
-    if in_core and mu.total != v.values[full]:
+    if in_core and mu.total != v(full):
         return False, full
     return in_core, violated
 
@@ -160,13 +162,15 @@ def _restricted_core_check(
     v: SetFunction, mu: DiscreteMeasure, a_mask: int, lower: bool
 ) -> tuple[bool, int | None]:
     # One lane comparison over the submasks of A, in increasing bitmask
-    # order, on the common-denominator image of v and mu together.
-    ints, _den = int_image(v.values + mu.weights)
-    vals, wts = ints[:len(v.values)], ints[len(v.values):]
+    # order, with v and mu over one common denominator.
+    vals, vden = v.image
+    wts, wden = int_image(mu.weights)
+    den = lcm(vden, wden)
+    vscale, wscale = den // vden, den // wden
     elems = [i for i in range(v.ground.size) if a_mask >> i & 1]
     subs = subset_sums([1 << i for i in elems])
-    caps = [vals[c] for c in subs]
-    local = [wts[i] for i in elems]
+    caps = [vals[c] * vscale for c in subs]
+    local = [wts[i] * wscale for i in elems]
     # caps[0] = v(empty) = 0 and the weights are nonnegative, so every
     # subset sum lies in [0, sum(local)].
     k = _CoreLanes(caps, min(caps), max(max(caps), sum(local)), lower).first_escape(local)
@@ -205,7 +209,7 @@ class EquivalenceReport:
 
 
 def _extremal_measures_in_core(
-    ground: GroundSet, values: list[int], lower: bool
+    ground: GroundSet, values: Sequence[int], lower: bool
 ) -> tuple[bool, tuple[Chain, int] | None]:
     """(b): every chain's telescoped measure is dominated by / dominates v.
 
@@ -233,7 +237,7 @@ def _extremal_measures_in_core(
 
 
 def _sup_matches_everywhere(
-    ground: GroundSet, values: list[int], maximize: bool
+    ground: GroundSet, values: Sequence[int], maximize: bool
 ) -> tuple[bool, tuple[int, Chain] | None]:
     """(c): the chain optimum agrees with v on every subset.
 
@@ -241,7 +245,7 @@ def _sup_matches_everywhere(
     rebuilt for the first failing subset only.
     """
     opt = chain_opt_all(values, maximize)
-    if opt == values:
+    if opt == list(values):
         return True, None
     a = next(a for a, (x, y) in enumerate(zip(opt, values)) if x != y)
     weights = indicator(a, ground.size)
@@ -250,7 +254,7 @@ def _sup_matches_everywhere(
 
 
 def _local_candidates_in_core(
-    values: list[int], lower: bool
+    values: Sequence[int], lower: bool
 ) -> tuple[bool, tuple[int, int, int] | None]:
     """(d): the constructive nested-pair measures all lie in the local core.
 
@@ -287,7 +291,7 @@ def _verify(v: SetFunction, lower: bool) -> EquivalenceReport:
     require_monotone(v, "equivalence verification")
     require_sweepable(v.ground)
     a_holds, a_wit = is_submodular(v) if lower else is_supermodular(v)
-    values, _den = int_image(v.values)
+    values = v.image[0]
     b_holds, b_wit = _extremal_measures_in_core(v.ground, values, lower)
     c_holds, c_wit = _sup_matches_everywhere(v.ground, values, maximize=lower)
     d_holds, d_wit = _local_candidates_in_core(values, lower)

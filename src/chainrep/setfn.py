@@ -12,11 +12,24 @@ A set function ``v`` here always satisfies ``v(empty) = 0``. It is
 * submodular      if ``v(A) + v(B) >= v(A | B) + v(A & B)`` for all pairs,
 * supermodular    with the reversed inequality (a convex game).
 
+A :class:`SetFunction` stores one canonical integer image ``(ints, den)``
+with ``values[mask] == ints[mask] / den``, ``den > 0`` and
+``gcd(den, *ints) == 1``: the common-denominator image :func:`int_image`
+returns, which orders values exactly as the rationals do. Any common
+denominator reduces to it, so equality and hashing compare images. It is
+built once per function: from Fractions by the scalar constructor, or
+handed over as integers through :meth:`SetFunction.from_image` by the
+producers (the complement transform, the recursion step, the
+law-invariant function, measures and the CLI parser). Every predicate and
+transform reads it; ``values`` is materialised only on first read, one
+Fraction per distinct value, and then kept. On the 2-vCPU VM of the
+figures below, that first read costs about 40 ms at m = 14 when all 2^14
+values are distinct and about 2 ms for a law-invariant function (136
+distinct values), against about 1.3 ms for :func:`dual_transform`.
+
 Both modularity predicates are decided through the equivalent local
 exchange test over triples ``(A, i, j)`` with ``i != j`` outside ``A``,
-which is quadratically cheaper than scanning all pairs of subsets. The
-predicates run on the common-denominator integer image (:func:`int_image`),
-which orders values exactly as the rationals do.
+which is quadratically cheaper than scanning all pairs of subsets.
 
 Every exhaustive sign test of the package runs on one lane kernel,
 :class:`_Lanes`: the integer image is packed into fixed-width lanes of one
@@ -39,7 +52,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from functools import cached_property
+from math import gcd, lcm
 from typing import Callable, Iterable, Sequence, Union
 
 from .errors import NotMonotone
@@ -225,26 +239,52 @@ class GroundSet:
         return sorted(self.subsets(), key=lambda s: (bin(s).count("1"), self.labels_of(s)))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, repr=False)
 class SetFunction:
     """Dense exact-valued function on all subsets of a ground set.
 
-    ``values[mask]`` is the value of the subset encoded by ``mask``;
-    ``values[0]`` (the empty set) must be zero.
+    ``image = (ints, den)`` is the canonical integer image (see the module
+    docstring) and ``values[mask] == Fraction(ints[mask], den)``; the empty
+    set must have value zero. ``values`` is built on first read and kept.
     """
 
     ground: GroundSet
-    values: tuple[Fraction, ...]
+    image: tuple[tuple[int, ...], int]
 
-    def __post_init__(self):
-        vals = tuple(as_scalar(x) for x in self.values)
-        object.__setattr__(self, "values", vals)
-        if len(vals) != 1 << self.ground.size:
-            raise ValueError(
-                f"expected {1 << self.ground.size} values, got {len(vals)}"
-            )
-        if vals[0] != 0:
+    def __init__(self, ground: GroundSet, values: Iterable[ScalarLike]):
+        vals = tuple(as_scalar(x) for x in values)
+        self._store(ground, *int_image(vals))
+        self.__dict__["values"] = vals
+
+    @classmethod
+    def from_image(
+        cls, ground: GroundSet, ints: Iterable[int], den: int
+    ) -> "SetFunction":
+        """The function with values ``ints[mask] / den``, in canonical form."""
+        v = cls.__new__(cls)
+        v._store(ground, ints, den)
+        return v
+
+    def _store(self, ground: GroundSet, ints: Iterable[int], den: int) -> None:
+        ints = tuple(ints)
+        if len(ints) != 1 << ground.size:
+            raise ValueError(f"expected {1 << ground.size} values, got {len(ints)}")
+        if ints[0] != 0:
             raise ValueError("the empty set must have value 0")
+        if den <= 0:
+            raise ValueError(f"the denominator must be positive, got {den}")
+        g = gcd(den, *ints)  # also refuses anything but integers
+        if g != 1:
+            ints, den = tuple(x // g for x in ints), den // g
+        object.__setattr__(self, "ground", ground)
+        object.__setattr__(self, "image", (ints, den))
+
+    @cached_property
+    def values(self) -> tuple[Fraction, ...]:
+        ints, den = self.image
+        # One Fraction per distinct value, shared by the subsets that take it.
+        frac = {x: Fraction(x, den) for x in set(ints)}
+        return tuple(map(frac.__getitem__, ints))
 
     @classmethod
     def from_callable(
@@ -253,10 +293,16 @@ class SetFunction:
         return cls(ground, tuple(as_scalar(fn(s)) for s in ground.subsets()))
 
     def __call__(self, mask: int) -> Fraction:
-        return self.values[mask]
+        if "values" in self.__dict__:
+            return self.values[mask]
+        ints, den = self.image
+        return Fraction(ints[mask], den)
 
     def value_by_labels(self, labels: Iterable[str]) -> Fraction:
-        return self.values[self.ground.mask_of(labels)]
+        return self(self.ground.mask_of(labels))
+
+    def __repr__(self) -> str:
+        return f"SetFunction(ground={self.ground!r}, values={self.values!r})"
 
 
 @dataclass(frozen=True)
@@ -292,7 +338,7 @@ def is_monotone(v: SetFunction) -> tuple[bool, MonotoneWitness | None]:
     increasing bitmask order of A, then index order of i, so it is
     deterministic.
     """
-    vals, _ = int_image(v.values)
+    vals = v.image[0]
     lanes = _Lanes(vals, min(vals), max(vals))
     p = lanes.packed
     best = None
@@ -320,7 +366,7 @@ def require_monotone(v: SetFunction, what: str, error: type = NotMonotone) -> No
 def _exchange_violation(v: SetFunction, submodular: bool) -> ExchangeWitness | None:
     # v(A|i) + v(A|j) >= v(A|i|j) + v(A) compares the step by i at A with
     # the step by i at A|j; the first triple is the least (A, i, j).
-    vals, _ = int_image(v.values)
+    vals = v.image[0]
     lanes = _Lanes(vals, min(vals), max(vals))
     m = v.ground.size
     avoiding = [lanes.avoiding(i) for i in range(m)]
@@ -358,16 +404,14 @@ def dual_transform(v: SetFunction) -> SetFunction:
     An involution that swaps submodular and supermodular while preserving
     monotonicity; fixes the values at the empty set and the full set.
     """
-    full = v.ground.full_mask
-    top = v.values[full]
-    return SetFunction(
-        v.ground, tuple(top - v.values[full ^ a] for a in v.ground.subsets())
-    )
+    ints, den = v.image
+    top = ints[-1]  # complements of 0, 1, 2, ... are full, full - 1, ...
+    return SetFunction.from_image(v.ground, [top - x for x in reversed(ints)], den)
 
 
 def is_null_set(v: SetFunction, n_mask: int) -> bool:
     """True iff v(N|A) = v(~N&A) = v(A) for every subset A."""
-    vals = v.values
+    vals = v.image[0]  # canonical, so equal values have equal ints
     full = v.ground.full_mask
     comp = full ^ n_mask
     for a in v.ground.subsets():

@@ -356,6 +356,33 @@ def brute_recursion_step(v: SetFunction) -> SetFunction:
     ))
 
 
+def brute_iterate(v: SetFunction, max_steps: int) -> tuple[list[SetFunction], bool]:
+    """The recursion by :func:`brute_recursion_step`, until the values stop
+    changing or ``max_steps`` steps; returns the iterates and whether the
+    last one is a fixed point."""
+    iterates = [v]
+    for _ in range(max_steps):
+        nxt = brute_recursion_step(iterates[-1])
+        if nxt.values == iterates[-1].values:
+            return iterates, True
+        iterates.append(nxt)
+    return iterates, False
+
+
+def brute_dual_transform(v: SetFunction) -> SetFunction:
+    """Complement transform in Fractions: w(A) = v(full) - v(full - A)."""
+    full = v.ground.full_mask
+    top = v.values[full]
+    return SetFunction(
+        v.ground, tuple(top - v.values[full ^ a] for a in v.ground.subsets())
+    )
+
+
+def brute_subset_function(mu: DiscreteMeasure) -> SetFunction:
+    """The measure as a set function, one Fraction mass per subset."""
+    return SetFunction(mu.ground, tuple(mu.mass(s) for s in mu.ground.subsets()))
+
+
 def brute_monotone_witness(v: SetFunction) -> MonotoneWitness | None:
     """Literal Fraction scan of the pairs (A, A + i) in bitmask, then index order."""
     for a in v.ground.subsets():

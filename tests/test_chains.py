@@ -183,6 +183,17 @@ class TestDiscreteMeasure:
         assert v.values[0b111] == 9
         assert v.values[0b101] == 6
 
+    def test_as_set_function_matches_fraction_masses(self):
+        rng = random.Random(197)
+        for m in range(1, 9):
+            for den in (1, 6, 3**40):
+                mu = DiscreteMeasure(g(m), tuple(
+                    Fraction(rng.randint(0, 10**rng.randint(1, 30)), rng.randint(1, den))
+                    for _ in range(m)))
+                got, want = mu.as_set_function(), support.brute_subset_function(mu)
+                assert got == want and got.image == want.image
+                assert got.values == want.values
+
 
 class TestSubsetSums:
     @staticmethod

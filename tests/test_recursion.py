@@ -98,6 +98,21 @@ class TestIterateToFixedPoint:
         for it in trace.iterates:
             assert all(x <= top for x in it.values)
 
+    def test_trace_matches_per_subset_oracle(self):
+        rng = random.Random(103)
+        reached = set()
+        for m in (1, 2, 3, 4, 5):
+            for _ in range(6):
+                v = support.random_monotone(rng, g(m), rational=rng.random() < 0.5)
+                want, fixed = support.brute_iterate(v, 1 << m)
+                trace = iterate_to_fixed_point(v)
+                assert fixed and trace.fixed_point_index == len(want) - 1
+                assert [it.values for it in trace.iterates] == [it.values for it in want]
+                assert trace.submodular_flags == tuple(
+                    support.brute_submodular(it) for it in want)
+                reached.add(len(want))
+        assert max(reached) >= 3  # some traces take two steps or more
+
     def test_step_cap_raises_with_partial_trace(self):
         with pytest.raises(MaxStepsExceeded) as info:
             iterate_to_fixed_point(V0, max_steps=1)

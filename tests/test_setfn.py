@@ -70,6 +70,78 @@ class TestSetFunction:
         assert V0.value_by_labels(["1", "4"]) == 30
 
 
+class TestImage:
+    """The stored canonical image: what ``from_image`` accepts and refuses,
+    and that no public path can change it."""
+
+    FRACS = (0, Fraction(3, 4), Fraction(-5, 6), 2, Fraction(7, 12), 0, Fraction(1, 3), -1)
+
+    def test_scaled_images_build_the_same_function(self):
+        v = sf(3, self.FRACS)
+        ints, den = int_image(v.values)
+        assert v.image == (tuple(ints), den)
+        for k in (1, 2, 7, 10**30, 3**40):
+            w = SetFunction.from_image(g(3), [k * x for x in ints], k * den)
+            assert w == v and hash(w) == hash(v)
+            assert w.image == v.image
+            assert w.values == tuple(Fraction(x) for x in self.FRACS)
+            assert [w(s) for s in range(8)] == list(v.values)
+
+    def test_zero_function_has_unit_denominator(self):
+        v = SetFunction.from_image(g(2), [0, 0, 0, 0], 12)
+        assert v.image == ((0, 0, 0, 0), 1)
+        assert v == sf(2, [0, 0, 0, 0])
+
+    def test_values_read_back_equal_the_inputs(self):
+        rng = random.Random(41)
+        for m in (1, 3, 6):
+            v = support.random_monotone(rng, g(m), rational=True)
+            w = SetFunction.from_image(v.ground, *int_image(v.values))
+            assert w.values == v.values
+            assert repr(w) == repr(v)
+
+    def test_refusals_match_the_scalar_constructor(self):
+        for make in (lambda: sf(2, [0, 1, 2]), lambda: SetFunction.from_image(g(2), [0, 1, 2], 1)):
+            with pytest.raises(ValueError):
+                make()
+        for make in (lambda: sf(1, [1, 2]), lambda: SetFunction.from_image(g(1), [1, 2], 1)):
+            with pytest.raises(ValueError):
+                make()
+        for den in (0, -1, -6):
+            with pytest.raises(ValueError):
+                SetFunction.from_image(g(1), [0, 2], den)
+
+    def test_floats_are_rejected(self):
+        with pytest.raises(TypeError):
+            SetFunction(g(1), (0, 0.5))
+        with pytest.raises(TypeError):
+            SetFunction.from_image(g(1), [0, 0.5], 1)
+        with pytest.raises(TypeError):
+            SetFunction.from_image(g(1), [0, 1], 2.0)
+
+    def test_attributes_cannot_be_set(self):
+        v = sf(2, [0, 1, 2, 3])
+        for name, value in (("values", (0, 0, 0, 0)), ("image", ((0, 0, 0, 0), 1)),
+                            ("ground", g(2)), ("other", 1)):
+            with pytest.raises(AttributeError):
+                setattr(v, name, value)
+            with pytest.raises(AttributeError):
+                delattr(v, name)
+
+    def test_image_cannot_be_mutated(self):
+        ints = [0, 2, 4, 6]
+        v = SetFunction.from_image(g(2), ints, 4)
+        before = v.image
+        ints[1] = 99  # the caller's list is not the stored image
+        assert v.image == before == ((0, 1, 2, 3), 2)
+        stored, den = v.image
+        assert isinstance(stored, tuple) and isinstance(v.values, tuple)
+        with pytest.raises(TypeError):
+            stored[1] = 5
+        w = dual_transform(v)
+        assert v.image == before and w.image == ((0, 1, 2, 3), 2)
+
+
 class TestMonotone:
     def test_table_function_is_monotone(self):
         assert is_monotone(V0) == (True, None)
@@ -241,6 +313,15 @@ class TestDualTransform:
         m, tail = m_and_tail
         v = SetFunction(g(m), tuple([Fraction(0)] + tail))
         assert dual_transform(dual_transform(v)).values == v.values
+
+    @pytest.mark.parametrize("m", range(1, 9))
+    def test_matches_fraction_oracle(self, m):
+        # The zero function, negative values and 4000-digit numerators over
+        # denominators up to 3^40, among others.
+        for v in support.lane_edge_inputs(random.Random(950 + m), m):
+            got, want = dual_transform(v), support.brute_dual_transform(v)
+            assert got == want and got.image == want.image
+            assert got.values == want.values
 
     def test_swaps_modularity_sides(self):
         rng = random.Random(5)

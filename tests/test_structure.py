@@ -74,3 +74,22 @@ def test_lane_kernel_defined_once_in_setfn_and_private():
     packing = {path.name for path in SRC.glob("*.py")
                if re.search(r"\b(from|to)_bytes\b", path.read_text())}
     assert packing == {"setfn.py"}
+
+
+def test_set_function_image_is_read_not_rebuilt():
+    # A set function carries its integer image; rebuilding it from the
+    # Fraction values outside setfn.py would materialise them for nothing.
+    rebuilt = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "setfn.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            if name == "int_image" and any(
+                isinstance(arg, ast.Attribute) and arg.attr == "values" for arg in node.args
+            ):
+                rebuilt.append((path.name, node.lineno))
+    assert rebuilt == []
