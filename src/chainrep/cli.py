@@ -9,12 +9,19 @@ set), and values written as exact rational strings (optional sign,
 integer, optional '/' followed by a positive integer). A weighted-space
 document replaces "values" with per-element "nu" and "density" lists.
 
+Every command runs one pipeline: :func:`run_command` loads the subject,
+the command's ``cmd_*`` function computes and renders it, and
+:func:`run_command` emits the result and persists the run record. Errors
+reach :func:`main`, which alone maps them to exit codes.
+
 Exit codes are a stable contract: 0 success (submodular / exact match),
-1 negative finding, 2 input error, 3 step cap reached, 4 internal
-inconsistency (a route disagreement that should be unreachable).
+1 negative finding, 2 input error (also an unwritable output file or run
+store), 3 step cap reached, 4 internal inconsistency (a route
+disagreement that should be unreachable).
 
 Each run appends a JSON record keyed by the input document's digest under
-CHAINREP_DATA_DIR (default ~/.chainrep) unless --no-persist is given.
+CHAINREP_DATA_DIR (default ~/.chainrep) unless --no-persist is given. Its
+parameters are the command's arguments.
 """
 
 from __future__ import annotations
@@ -151,12 +158,10 @@ def parse_set_function_document(obj) -> SetFunction:
 
 def serialize_set_function(v: SetFunction) -> dict:
     """Canonical document: subset keys by cardinality then label order."""
+    order, keys = v.ground.keyed_subsets()
     return {
         "ground_set": list(v.ground.elements),
-        "values": {
-            v.ground.subset_key(mask): rational_str(v.values[mask])
-            for mask in v.ground.subsets_by_cardinality()
-        },
+        "values": dict(zip(keys, _value_row(v, order))),
     }
 
 
@@ -203,46 +208,47 @@ def _load_document(path: str):
         raise DocumentError(f"{path}: invalid JSON: {exc}") from exc
 
 
-class RunStore:
-    """Append-only run records under a content-addressed directory."""
-
-    def __init__(self, root: str | os.PathLike | None = None):
-        env = os.environ.get("CHAINREP_DATA_DIR")
-        self.root = Path(root or env or Path.home() / ".chainrep")
-
-    def record(self, digest: str, command: str, parameters: dict, outputs) -> Path:
-        directory = self.root / digest
-        directory.mkdir(parents=True, exist_ok=True)
-        stamp = _dt.datetime.now(_dt.timezone.utc)
-        base = f"run-{stamp.strftime('%Y%m%dT%H%M%S%f')}"
-        path = directory / f"{base}.json"
-        n = 0
-        while path.exists():
-            n += 1
-            path = directory / f"{base}-{n}.json"
-        payload = {
-            "digest": digest,
-            "command": command,
-            "parameters": parameters,
-            "outputs": outputs,
-            "timestamp": stamp.isoformat(),
-        }
-        path.write_text(json.dumps(payload, indent=2, sort_keys=True))
-        return path
+# Namespace attributes that choose or format a run rather than parametrise it.
+_NOT_PARAMETERS = {"command", "format", "no_persist", "fn"}
 
 
-def _emit(args, payload: dict, table_lines: list[str]) -> None:
-    if args.format == "json":
-        print(json.dumps(payload, indent=2))
+def _emit(args, payload: dict, table_lines: list[str] | None) -> None:
+    """Print the output, or write it to the -o file; no table lines means JSON."""
+    if args.format == "json" or table_lines is None:
+        text = json.dumps(payload, indent=2)
     else:
-        for line in table_lines:
-            print(line)
+        text = "\n".join(table_lines)
+    if getattr(args, "output", None):
+        Path(args.output).write_text(text + "\n")
+    else:
+        print(text)
 
 
-def _persist(args, digest: str, command: str, parameters: dict, outputs) -> None:
-    if getattr(args, "no_persist", False):
+def _persist(args, doc, outputs) -> None:
+    """Append a run record under CHAINREP_DATA_DIR/<digest of doc>/."""
+    if args.no_persist:
         return
-    RunStore().record(digest, command, parameters, outputs)
+    digest = document_digest(doc)
+    root = Path(os.environ.get("CHAINREP_DATA_DIR") or Path.home() / ".chainrep")
+    directory = root / digest
+    directory.mkdir(parents=True, exist_ok=True)
+    stamp = _dt.datetime.now(_dt.timezone.utc)
+    base = f"run-{stamp.strftime('%Y%m%dT%H%M%S%f')}"
+    path = directory / f"{base}.json"
+    n = 0
+    while path.exists():
+        n += 1
+        path = directory / f"{base}-{n}.json"
+    record = {
+        "digest": digest,
+        "command": args.command,
+        "parameters": {
+            k: v for k, v in vars(args).items() if k not in _NOT_PARAMETERS
+        },
+        "outputs": outputs,
+        "timestamp": stamp.isoformat(),
+    }
+    path.write_text(json.dumps(record, indent=2, sort_keys=True))
 
 
 def _mask_str(ground: GroundSet, mask: int) -> str:
@@ -263,9 +269,10 @@ def _table(header: list[str], rows: list[list[str]]) -> list[str]:
     return [fmt(header)] + [fmt(r) for r in rows]
 
 
-def cmd_check(args) -> int:
-    doc = _load_document(args.file)
-    v = parse_set_function_document(doc)
+# Each cmd_* computes and renders one subject: it returns the payload (the
+# JSON output and run-record outputs), the table lines (None when the output
+# has no table form) and the exit code.
+def cmd_check(args, v: SetFunction):
     g = v.ground
     mono, mono_wit = is_monotone(v)
     sub, sub_wit = is_submodular(v)
@@ -300,25 +307,23 @@ def cmd_check(args) -> int:
             "chain sup attains / local core attains): "
             + " ".join("yes" if b else "no" for b in report.booleans)
         )
-    _emit(args, payload, lines)
-    _persist(args, document_digest(doc), "check", {"file": args.file}, payload)
-    return EXIT_OK if sub else EXIT_NEGATIVE
+    return payload, lines, EXIT_OK if sub else EXIT_NEGATIVE
 
 
-def cmd_iterate(args) -> int:
-    doc = _load_document(args.file)
-    v = parse_set_function_document(doc)
-    order = v.ground.subsets_by_cardinality()
-    header = ["n"] + [_mask_str(v.ground, m) for m in order] + ["submodular"]
+def cmd_iterate(args, v: SetFunction):
+    order, keys = v.ground.keyed_subsets()
+    header = ["n"] + ["{" + key + "}" for key in keys] + ["submodular"]
     code = EXIT_OK
     try:
         trace = iterate_to_fixed_point(v, args.max_steps)
     except MaxStepsExceeded as exc:
+        # A partial trace is a result, not an error.
         trace = exc.trace
         code = EXIT_STEP_CAP
+    cells = [_value_row(it, order) for it in trace.iterates]
     rows = [
-        [f"v_{n}"] + _value_row(it, order) + ["yes" if flag else "no"]
-        for n, (it, flag) in enumerate(zip(trace.iterates, trace.submodular_flags))
+        [f"v_{n}"] + row + ["yes" if flag else "no"]
+        for n, (row, flag) in enumerate(zip(cells, trace.submodular_flags))
     ]
     lines = _table(header, rows)
     if trace.fixed_point_index is not None:
@@ -326,23 +331,14 @@ def cmd_iterate(args) -> int:
     else:
         lines.append("step cap reached before a fixed point (partial trace)")
     payload = {
-        "iterates": [
-            {v.ground.subset_key(m): rational_str(it.values[m]) for m in order}
-            for it in trace.iterates
-        ],
+        "iterates": [dict(zip(keys, row)) for row in cells],
         "submodular_flags": list(trace.submodular_flags),
         "fixed_point_index": trace.fixed_point_index,
     }
-    _emit(args, payload, lines)
-    _persist(
-        args, document_digest(doc), "iterate",
-        {"file": args.file, "max_steps": args.max_steps}, payload,
-    )
-    return code
+    return payload, lines, code
 
 
-def cmd_repro_table(args) -> int:
-    v0 = counterexample.V0
+def cmd_repro_table(args, v0: SetFunction):
     expected = {
         "v0": counterexample.V0,
         "v1": counterexample.V1_EXPECTED,
@@ -356,36 +352,31 @@ def cmd_repro_table(args) -> int:
     actual = {"v0": v0}
     actual["v1"] = recursion_step(actual["v0"])
     actual["v2"] = recursion_step(actual["v1"])
-    order = v0.ground.subsets_by_cardinality()
+    order, keys = v0.ground.keyed_subsets()
     diffs = []
     for row in ("v0", "v1", "v2"):
-        for mask in order:
+        for mask, key in zip(order, keys):
             want = expected[row].values[mask]
             got = actual[row].values[mask]
             if want != got:
-                diffs.append((row, mask, want, got))
-    header = ["n"] + [_mask_str(v0.ground, m) for m in order]
+                diffs.append((row, key, want, got))
+    header = ["n"] + ["{" + key + "}" for key in keys]
     rows = [[row] + _value_row(actual[row], order) for row in ("v0", "v1", "v2")]
     lines = _table(header, rows)
     payload = {"cells": 3 * len(order), "mismatches": []}
     if diffs:
-        for row, mask, want, got in diffs:
+        for row, key, want, got in diffs:
             lines.append(
-                f"MISMATCH {row} {_mask_str(v0.ground, mask)}: "
+                f"MISMATCH {row} {{{key}}}: "
                 f"expected {rational_str(want)}, got {rational_str(got)}"
             )
             payload["mismatches"].append(
-                {"row": row, "subset": v0.ground.subset_key(mask),
+                {"row": row, "subset": key,
                  "expected": rational_str(want), "actual": rational_str(got)}
             )
     else:
         lines.append(f"exact match on all {3 * len(order)} cells")
-    _emit(args, payload, lines)
-    _persist(
-        args, document_digest(serialize_set_function(v0)), "repro-table",
-        {"self_test": args.self_test}, payload,
-    )
-    return EXIT_NEGATIVE if diffs else EXIT_OK
+    return payload, lines, EXIT_NEGATIVE if diffs else EXIT_OK
 
 
 def _parse_f(ground: GroundSet, text: str) -> SimpleFunction:
@@ -399,67 +390,41 @@ def _parse_f(ground: GroundSet, text: str) -> SimpleFunction:
     )
 
 
-def cmd_choquet(args) -> int:
-    doc = _load_document(args.file)
-    v = parse_set_function_document(doc)
+def cmd_choquet(args, v: SetFunction):
     f = _parse_f(v.ground, args.f)
     value = choquet(v, f)
     payload = {"choquet": rational_str(value)}
     lines = [f"choquet integral: {rational_str(value)}"]
-    code = EXIT_OK
     if args.sup:
-        try:
-            sup_val, chain = choquet_sup_representation(v, f)
-        except NotSubmodular as exc:
-            print(f"chain supremum refused: {exc}", file=sys.stderr)
-            return EXIT_NEGATIVE
+        sup_val, chain = choquet_sup_representation(v, f)
         payload["chain_supremum"] = rational_str(sup_val)
         lines.append(f"chain supremum: {rational_str(sup_val)}")
         if args.witness:
             payload["witness_chain"] = list(chain.label_order())
             lines.append(f"attaining chain: {','.join(chain.label_order())}")
     if args.risk:
-        try:
-            rho = risk_measure(v, f)
-        except ZeroTotalMass as exc:
-            raise DocumentError(str(exc)) from exc
+        rho = risk_measure(v, f)
         payload["risk"] = rational_str(rho)
         lines.append(f"risk measure: {rational_str(rho)}")
-    _emit(args, payload, lines)
-    _persist(
-        args, document_digest(doc), "choquet",
-        {"file": args.file, "f": args.f, "risk": args.risk, "sup": args.sup},
-        payload,
-    )
-    return code
+    return payload, lines, EXIT_OK
 
 
-def cmd_spectral(args) -> int:
-    doc = _load_document(args.file)
-    w = parse_weighted_space_document(doc)
+def cmd_spectral(args, w: WeightedSpace):
     f = _parse_f(w.ground, args.f)
-    try:
-        if not f.is_nonnegative():
-            raise DocumentError("--f must be nonnegative for spectral reports")
-        dist = distribution_of_density(w)
-        direct = v_mu_integral(w, f)
-        product = choquet_product_formula(w, f)
-        spectral = kusuoka_measure(w)
-        decomposition = spectral_decomposition_check(w, f)
-        dom = domination_report(w, f)
-    except InternalConsistencyError as exc:
-        print(f"internal inconsistency: {exc}", file=sys.stderr)
-        return EXIT_INTERNAL
-    except ZeroTotalMass as exc:
-        raise DocumentError(str(exc)) from exc
+    if not f.is_nonnegative():
+        raise DocumentError("--f must be nonnegative for spectral reports")
+    dist = distribution_of_density(w)
+    direct = v_mu_integral(w, f)
+    product = choquet_product_formula(w, f)
+    spectral = kusuoka_measure(w)
+    decomposition = spectral_decomposition_check(w, f)
+    dom = domination_report(w, f)
     if not direct == product == decomposition.by_components:
-        print(
-            f"internal inconsistency: direct={rational_str(direct)} "
+        raise InternalConsistencyError(
+            f"direct={rational_str(direct)} "
             f"product={rational_str(product)} "
-            f"spectral={rational_str(decomposition.by_components)}",
-            file=sys.stderr,
+            f"spectral={rational_str(decomposition.by_components)}"
         )
-        return EXIT_INTERNAL
     r = rational_str
     lines = ["distribution of the density:"]
     for bp, lv in zip(dist.breakpoints, dist.levels):
@@ -489,17 +454,10 @@ def cmd_spectral(args) -> int:
         "paired_integral": rational_str(dom.paired_integral),
         "rearrangement_supremum": rational_str(dom.rearrangement_supremum),
     }
-    _emit(args, payload, lines)
-    _persist(
-        args, document_digest(doc), "spectral",
-        {"file": args.file, "f": args.f}, payload,
-    )
-    return EXIT_OK
+    return payload, lines, EXIT_OK
 
 
-def cmd_represent(args) -> int:
-    doc = _load_document(args.file)
-    v = parse_set_function_document(doc)
+def cmd_represent(args, v: SetFunction):
     report = verify_submodular_equivalence(v)
     names = (
         "submodular",
@@ -516,25 +474,38 @@ def cmd_represent(args) -> int:
         "booleans": dict(zip("abcd", report.booleans)),
         "consistent": report.consistent,
     }
-    _emit(args, payload, lines)
-    _persist(args, document_digest(doc), "represent", {"file": args.file}, payload)
-    return EXIT_OK if report.all_hold else EXIT_NEGATIVE
+    return payload, lines, EXIT_OK if report.all_hold else EXIT_NEGATIVE
 
 
-def cmd_dual(args) -> int:
-    doc = _load_document(args.file)
-    v = parse_set_function_document(doc)
-    out = serialize_set_function(dual_transform(v))
-    text = json.dumps(out, indent=2)
-    if args.output:
-        Path(args.output).write_text(text + "\n")
+def cmd_dual(args, v: SetFunction):
+    # A document has no table form: it is emitted as JSON in either format.
+    return serialize_set_function(dual_transform(v)), None, EXIT_OK
+
+
+def run_command(args) -> int:
+    """Load the subject, compute and render it, then emit and persist once."""
+    if args.command == "repro-table":
+        subject = counterexample.V0
+        doc = serialize_set_function(subject)
     else:
-        print(text)
-    _persist(
-        args, document_digest(doc), "dual",
-        {"file": args.file, "output": args.output}, out,
-    )
-    return EXIT_OK
+        doc = _load_document(args.file)
+        if args.command == "spectral":
+            subject = parse_weighted_space_document(doc)
+        else:
+            subject = parse_set_function_document(doc)
+    payload, lines, code = args.fn(args, subject)
+    _emit(args, payload, lines)
+    _persist(args, doc, payload)
+    return code
+
+
+class _StepCap(argparse.Action):
+    """--max-steps: 0 allows no step, a negative cap is refused."""
+
+    def __call__(self, parser, namespace, value, option_string=None):
+        if value < 0:
+            raise argparse.ArgumentError(self, f"must be nonnegative, got {value}")
+        setattr(namespace, self.dest, value)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -560,7 +531,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("iterate", parents=[common],
                        help="run the chain-supremum recursion to its fixed point")
     p.add_argument("file")
-    p.add_argument("--max-steps", type=int, default=None)
+    p.add_argument("--max-steps", type=int, default=None, action=_StepCap)
     p.set_defaults(fn=cmd_iterate)
 
     p = sub.add_parser("repro-table", parents=[common],
@@ -602,19 +573,24 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    # Exit code and stderr prefix of each error, in order: the first match wins.
+    errors = (
+        ((DocumentError, ZeroTotalMass), EXIT_INPUT, "input error"),
+        (NotSubmodular, EXIT_NEGATIVE, "chain supremum refused"),
+        (InternalConsistencyError, EXIT_INTERNAL, "internal inconsistency"),
+        (ChainrepError, EXIT_INPUT, "error"),
+        # A failed read is a DocumentError already, so this is a failed write.
+        (OSError, EXIT_INPUT, "cannot write"),
+    )
     try:
-        return args.fn(args)
-    except DocumentError as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except InternalConsistencyError as exc:
-        print(f"internal inconsistency: {exc}", file=sys.stderr)
-        return EXIT_INTERNAL
-    except ChainrepError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+        return run_command(args)
+    except (ChainrepError, OSError) as exc:
+        code, prefix = next(
+            (code, prefix) for kinds, code, prefix in errors if isinstance(exc, kinds)
+        )
+        print(f"{prefix}: {exc}", file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

@@ -236,7 +236,17 @@ class GroundSet:
 
     def subsets_by_cardinality(self) -> list[int]:
         """All masks ordered by cardinality, then by label tuple."""
-        return sorted(self.subsets(), key=lambda s: (bin(s).count("1"), self.labels_of(s)))
+        return self.keyed_subsets()[0]
+
+    def keyed_subsets(self) -> tuple[list[int], list[str]]:
+        """The masks of :meth:`subsets_by_cardinality` and their subset keys."""
+        # Label tuples of every mask, doubled over the elements: mask
+        # s | 1 << i extends the tuple of s < 2^i by element i.
+        labels = [()]
+        for lab in self.elements:
+            labels += [t + (lab,) for t in labels]
+        order = sorted(self.subsets(), key=lambda s: (len(labels[s]), labels[s]))
+        return order, [",".join(labels[s]) for s in order]
 
 
 @dataclass(frozen=True, init=False, repr=False)

@@ -179,6 +179,30 @@ class TestIngestionErrors:
         assert self.run(capsys, ["check", str(path)]) == EXIT_INPUT
 
 
+FILE_COMMANDS = {
+    "check": [], "iterate": [], "represent": [], "dual": [],
+    "choquet": ["--f", "1"], "spectral": ["--f", "1"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(FILE_COMMANDS))
+@pytest.mark.parametrize("bad", ["missing", "invalid-json", "wrong-kind"])
+def test_unusable_document_exits_two(tmp_path, capsys, command, bad):
+    path = tmp_path / "doc.json"
+    if bad == "invalid-json":
+        path.write_text('{"ground_set": ["1"], ')
+    elif bad == "wrong-kind":
+        # Each command gets the document kind it does not read.
+        doc = ({"ground_set": ["1"], "values": {"": "0", "1": "1"}} if command == "spectral"
+               else {"ground_set": ["1"], "nu": ["1"], "density": ["1"]})
+        path.write_text(json.dumps(doc))
+    code = main([command, str(path), *FILE_COMMANDS[command], "--no-persist"])
+    out, err = capsys.readouterr()
+    assert code == EXIT_INPUT
+    assert err.startswith("input error: ") and "Traceback" not in err
+    assert out == ""
+
+
 class TestIterateCommand:
     def test_golden_trace_rows(self, tmp_path, capsys):
         code = main(["iterate", v0_doc(tmp_path), "--no-persist", "--format", "json"])
@@ -207,6 +231,20 @@ class TestIterateCommand:
         assert code == EXIT_STEP_CAP
         assert "partial trace" in out
         assert "v_1" in out
+
+    def test_zero_step_cap_allows_no_step(self, tmp_path, capsys):
+        code = main(["iterate", v0_doc(tmp_path), "--no-persist", "--max-steps", "0",
+                     "--format", "json"])
+        payload = json.loads(capsys.readouterr().out)
+        assert code == EXIT_STEP_CAP
+        assert len(payload["iterates"]) == 1 and payload["fixed_point_index"] is None
+
+    def test_negative_step_cap_refused_at_parsing(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["iterate", v0_doc(tmp_path), "--no-persist", "--max-steps", "-1"])
+        out, err = capsys.readouterr()
+        assert exit_info.value.code == EXIT_INPUT
+        assert "--max-steps: must be nonnegative" in err and out == ""
 
 
     def test_long_derived_values_print_exactly(self, tmp_path, capsys, monkeypatch):
@@ -423,3 +461,45 @@ class TestPersistence:
         capsys.readouterr()
         digest = document_digest(json.loads(Path(path).read_text()))
         assert len(list((store / digest).glob("run-*.json"))) == 2
+
+    def test_unwritable_output_file_exits_two(self, tmp_path, capsys):
+        target = tmp_path / "missing" / "dual.json"
+        code = main(["dual", v0_doc(tmp_path), "-o", str(target), "--no-persist"])
+        err = capsys.readouterr().err
+        assert code == EXIT_INPUT
+        assert err.startswith("cannot write: ") and str(target) in err
+        assert "Traceback" not in err
+
+    def test_unwritable_run_store_exits_two(self, tmp_path, capsys, monkeypatch):
+        store = tmp_path / "store-file"
+        store.write_text("not a directory")
+        monkeypatch.setenv("CHAINREP_DATA_DIR", str(store))
+        code = main(["check", v2_doc(tmp_path)])
+        err = capsys.readouterr().err
+        assert code == EXIT_INPUT
+        assert err.startswith("cannot write: ") and str(store) in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("argv, parameters", [
+        (["check", "V2"], {"file": "V2"}),
+        (["represent", "V2"], {"file": "V2"}),
+        (["iterate", "V0", "--max-steps", "1"], {"file": "V0", "max_steps": 1}),
+        (["repro-table"], {"self_test": False}),
+        (["dual", "V2"], {"file": "V2", "output": None}),
+        (["spectral", "SPACE", "--f", "1,0"], {"file": "SPACE", "f": "1,0"}),
+        (["choquet", "V2", "--f", "1,0,0,0", "--sup"],
+         {"file": "V2", "f": "1,0,0,0", "risk": False, "sup": True, "witness": False}),
+        (["choquet", "V2", "--f", "1,0,0,0", "--sup", "--witness"],
+         {"file": "V2", "f": "1,0,0,0", "risk": False, "sup": True, "witness": True}),
+    ], ids=lambda x: " ".join(x) if isinstance(x, list) else "")
+    def test_record_parameters_are_the_command_arguments(
+            self, tmp_path, capsys, monkeypatch, argv, parameters):
+        store = tmp_path / "store"
+        monkeypatch.setenv("CHAINREP_DATA_DIR", str(store))
+        paths = {"V0": v0_doc(tmp_path), "V2": v2_doc(tmp_path),
+                 "SPACE": weighted_doc(tmp_path, ["1", "1"], ["2", "0"])}
+        main([paths.get(a, a) for a in argv + ["--format", "json"]])
+        capsys.readouterr()
+        record, = store.glob("*/run-*.json")
+        want = {k: paths.get(v, v) for k, v in parameters.items()}
+        assert json.loads(record.read_text())["parameters"] == want

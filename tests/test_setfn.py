@@ -56,6 +56,16 @@ class TestGroundSet:
         assert keys[5:11] == ["1,2", "1,3", "1,4", "2,3", "2,4", "3,4"]
         assert keys[-1] == "1,2,3,4"
 
+    @pytest.mark.parametrize("m", range(1, 9))
+    def test_keyed_order_matches_the_label_tuple_sort(self, m):
+        # String order of these labels differs from their index order.
+        ground = GroundSet(("10", "2", "b", "a", "1", "B", "x", "03")[:m])
+        want = sorted(ground.subsets(),
+                      key=lambda s: (bin(s).count("1"), ground.labels_of(s)))
+        order, keys = ground.keyed_subsets()
+        assert order == want == ground.subsets_by_cardinality()
+        assert keys == [ground.subset_key(s) for s in want]
+
 
 class TestSetFunction:
     def test_empty_set_must_vanish(self):

@@ -1,5 +1,5 @@
 """Source-level guards: where the library enumerates permutations, what it
-imports, and where the lane kernel lives."""
+imports, where the lane kernel lives and where the CLI maps errors."""
 
 import ast
 import re
@@ -74,6 +74,35 @@ def test_lane_kernel_defined_once_in_setfn_and_private():
     packing = {path.name for path in SRC.glob("*.py")
                if re.search(r"\b(from|to)_bytes\b", path.read_text())}
     assert packing == {"setfn.py"}
+
+
+def test_cli_maps_exceptions_to_exit_codes_only_in_main():
+    # run_command owns load, emit and persist, and main the one
+    # exception-to-exit map; a command only computes and renders.
+    tree = ast.parse((SRC / "cli.py").read_text())
+    functions = {node.name: node for node in tree.body
+                 if isinstance(node, ast.FunctionDef)}
+
+    def stderr_uses(root):
+        return sum(isinstance(node, ast.Attribute) and node.attr == "stderr"
+                   for node in ast.walk(root))
+    assert stderr_uses(tree) == stderr_uses(functions["main"]) > 0
+    commands = {name: fn for name, fn in functions.items() if name.startswith("cmd_")}
+    assert len(commands) == 7
+    handlers = sorted(
+        (name, ast.unparse(handler.type))
+        for name, fn in commands.items()
+        for node in ast.walk(fn) if isinstance(node, ast.Try)
+        for handler in node.handlers
+    )
+    assert handlers == [("cmd_iterate", "MaxStepsExceeded")]
+    pipeline = {"_load_document", "parse_set_function_document",
+                "parse_weighted_space_document", "_emit", "_persist"}
+    called = {(name, node.func.id) for name, fn in commands.items()
+              for node in ast.walk(fn)
+              if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+              and node.func.id in pipeline}
+    assert called == set()
 
 
 def test_set_function_image_is_read_not_rebuilt():
