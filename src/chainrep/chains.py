@@ -24,6 +24,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Iterator, Sequence
 
 from .errors import GroundSetTooLarge, NonMonotoneAlongChain, NotNested
@@ -96,7 +97,9 @@ class DiscreteMeasure:
     def zero(cls, ground: GroundSet) -> "DiscreteMeasure":
         return cls(ground, (Fraction(0),) * ground.size)
 
-    @property
+    # Summed once on first read; not a field, so equality and hashing
+    # see only ground and weights.
+    @cached_property
     def total(self) -> Fraction:
         return sum(self.weights, Fraction(0))
 

@@ -53,10 +53,8 @@ from .lawinv import (
     WeightedSpace,
     distribution_of_density,
     domination_report,
-    kusuoka_measure,
     choquet_product_formula,
     spectral_decomposition_check,
-    v_mu_integral,
 )
 from .recursion import iterate_to_fixed_point, recursion_step
 from .setfn import GroundSet, SetFunction, dual_transform, is_monotone, is_submodular
@@ -414,10 +412,11 @@ def cmd_spectral(args, w: WeightedSpace):
     if not f.is_nonnegative():
         raise DocumentError("--f must be nonnegative for spectral reports")
     dist = distribution_of_density(w)
-    direct = v_mu_integral(w, f)
-    product = choquet_product_formula(w, f)
-    spectral = kusuoka_measure(w)
     decomposition = spectral_decomposition_check(w, f)
+    direct = decomposition.direct
+    product = choquet_product_formula(w, f)
+    # The spectral atoms, in order, are those the decomposition ran over.
+    atoms = [(alpha, mass) for alpha, mass, _ in decomposition.components]
     dom = domination_report(w, f)
     if not direct == product == decomposition.by_components:
         raise InternalConsistencyError(
@@ -433,7 +432,7 @@ def cmd_spectral(args, w: WeightedSpace):
     for lo, hi, z in dist.quantile_segments():
         lines.append(f"  [{r(lo)}, {r(hi)}) -> {r(z)}")
     lines.append("spectral atoms (level: mass):")
-    for alpha, mass in spectral.atoms:
+    for alpha, mass in atoms:
         lines.append(f"  {r(alpha)}: {r(mass)}")
     lines.append(f"integral, layer route:    {r(direct)}")
     lines.append(f"integral, product route:  {r(product)}")
@@ -446,7 +445,7 @@ def cmd_spectral(args, w: WeightedSpace):
         "breakpoints": [rational_str(b) for b in dist.breakpoints],
         "levels": [rational_str(l) for l in dist.levels],
         "atoms": [
-            [rational_str(a), rational_str(m)] for a, m in spectral.atoms
+            [rational_str(a), rational_str(m)] for a, m in atoms
         ],
         "integral": rational_str(direct),
         "integral_product_route": rational_str(product),

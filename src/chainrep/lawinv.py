@@ -15,8 +15,13 @@ nu(A), matches mu on every density level set, and has the equivalent
 quantile form  v(A) = integral of the right-continuous inverse of F over
 [nu(complement of A), nu(full)).
 
-Every integral in this module is a finite sum over step segments,
-evaluated in exact rational arithmetic. The module also provides:
+Every integral in this module is a finite sum over step segments, and is
+exact. A distribution keeps one integer image (:class:`_StepImage`): its
+breakpoints and levels over their common denominators, the constant
+pieces of its survival function and the prefix and tail sums of their
+areas. Building it costs O(m log m); each integral is then one ``bisect``
+on it and a few integer products, O(log m), and only the result becomes a
+Fraction. The module also provides:
 
 * the Hardy-Littlewood style product formula  v(f) = integral of
   quantile(density) * quantile(f) over [0, nu(full)) for f >= 0;
@@ -30,13 +35,15 @@ evaluated in exact rational arithmetic. The module also provides:
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import accumulate
 from typing import Sequence
 
 from .chains import DiscreteMeasure, subset_sums
-from .choquet import SimpleFunction, layer_decompose
+from .choquet import SimpleFunction
 from .errors import (
     AlphaOutOfRange,
     BetaOutOfRange,
@@ -97,11 +104,88 @@ class WeightedSpace:
         )
 
     @cached_property
+    def _nu_image(self) -> tuple[list[int], int]:
+        return int_image(self.nu.weights)
+
+    @cached_property
     def _density_distribution(self) -> StepDistribution:
-        return distribution_of_function(self.nu, self.density)
+        # Its levels are over the denominator of the nu image.
+        return StepDistribution._from_image(
+            _distribution_image(self.density, self._nu_image)
+        )
+
+    @cached_property
+    def _spectral_measure(self) -> SpectralMeasure:
+        return _kusuoka(self)
 
     def density_function(self) -> SimpleFunction:
         return SimpleFunction(self.ground, self.density)
+
+
+class _StepImage:
+    """Integer image of a step distribution, with its survival integral.
+
+    Breakpoint j is ``bps[j] / bden`` and level j is ``lvs[j] / lden``.
+    The survival ``total - F`` is constant on [0, b_0), [b_0, b_1), ...;
+    the pieces where it is positive, in order, have survival
+    ``surv[p] / lden`` (non-increasing in p) and length
+    ``lengths[p] / bden``. ``reach[p]`` is the length of the pieces before
+    p, and ``tails[p]`` the survival integral over pieces p and after,
+    over ``den = bden * lden``.
+    """
+
+    def __init__(self, bps: list[int], bden: int, lvs: list[int], lden: int):
+        self.bps, self.bden, self.lvs, self.lden = bps, bden, lvs, lden
+        self.den = bden * lden
+        total = lvs[-1]
+        pieces = [(total - lv, b - a)
+                  for lv, a, b in zip([0] + lvs, [0] + bps, bps)
+                  if lv < total and a < b]
+        self.surv = [s for s, _ in pieces]
+        self.lengths = [n for _, n in pieces]
+        self.drops = [-s for s in self.surv]  # ascending, for bisect
+        self.reach = [0, *accumulate(self.lengths)]
+        self.tails = [*accumulate((s * n for s, n in reversed(pieces)), initial=0)][::-1]
+
+    def survival_min(self, cn: int, cd: int) -> int:
+        """Integral over z >= 0 of min(total - F(z), cn / cd), over ``cd * den``.
+
+        The pieces with survival above the cap form a prefix: each adds the
+        cap times its length, and the rest add their own area.
+        """
+        p = bisect_left(self.drops, -(cn * self.lden // cd))
+        return cn * self.lden * self.reach[p] + cd * self.tails[p]
+
+    @cached_property
+    def below(self) -> list[int]:
+        """below[j] = integral of F over [0, b_j), over ``den``."""
+        return [0, *accumulate(lv * (b - a)
+                               for lv, a, b in zip(self.lvs, self.bps, self.bps[1:]))]
+
+    @cached_property
+    def inverse_below(self) -> list[int]:
+        """Integral of the inverse over [0, lvs[j - 1]) (0 for j = 0), over ``den``."""
+        return [0, *accumulate(b * (lv - prev)
+                               for b, lv, prev in zip(self.bps, self.lvs, [0] + self.lvs))]
+
+
+def _distribution_image(
+    values: Sequence[Fraction], weights: tuple[list[int], int]
+) -> _StepImage:
+    """Image of F(y) = nu({ value <= y }), from nu's integer image.
+
+    Zero-mass values are dropped, so the levels increase strictly; they
+    are over the denominator of nu's image.
+    """
+    (vals, vden), (ws, wden) = int_image(values), weights
+    masses: dict[int, int] = {}
+    for x, w in zip(vals, ws):
+        if w:
+            masses[x] = masses.get(x, 0) + w
+    if not masses:
+        raise ValueError("need matching nonempty breakpoints and levels")
+    bps = sorted(masses)
+    return _StepImage(bps, vden, list(accumulate(map(masses.__getitem__, bps))), wden)
 
 
 @dataclass(frozen=True)
@@ -131,19 +215,32 @@ class StepDistribution:
         if lvs[-1] <= 0:
             raise ValueError("total mass must be positive")
 
+    @classmethod
+    def _from_image(cls, image: _StepImage) -> "StepDistribution":
+        """The distribution of an image built by :func:`_distribution_image`."""
+        dist = cls.__new__(cls)
+        object.__setattr__(dist, "breakpoints",
+                           tuple(Fraction(b, image.bden) for b in image.bps))
+        object.__setattr__(dist, "levels",
+                           tuple(Fraction(lv, image.lden) for lv in image.lvs))
+        dist.__dict__["_image"] = image
+        return dist
+
+    # Built on first use; not a field, so equality and hashing ignore it.
+    @cached_property
+    def _image(self) -> _StepImage:
+        return _StepImage(*int_image(self.breakpoints), *int_image(self.levels))
+
     @property
     def total(self) -> Fraction:
         return self.levels[-1]
 
     def value_at(self, z: ScalarLike) -> Fraction:
         z = as_scalar(z)
-        out = ZERO
-        for bp, lv in zip(self.breakpoints, self.levels):
-            if bp <= z:
-                out = lv
-            else:
-                break
-        return out
+        img = self._image
+        # Breakpoints <= z, compared as integers: b <= z iff b <= floor(z).
+        j = bisect_right(img.bps, z.numerator * img.bden // z.denominator)
+        return self.levels[j - 1] if j else ZERO
 
     def survival_segments(self) -> list[tuple[Fraction, Fraction, Fraction]]:
         """Constant pieces (start, end, total - F) with positive survival.
@@ -177,10 +274,10 @@ class StepDistribution:
             raise BetaOutOfRange(
                 f"beta must lie in [0, {self.total}), got {beta}"
             )
-        for bp, lv in zip(self.breakpoints, self.levels):
-            if lv > beta:
-                return bp
-        raise AssertionError("unreachable: final level equals total")
+        img = self._image
+        return self.breakpoints[
+            bisect_right(img.lvs, beta.numerator * img.lden // beta.denominator)
+        ]
 
 
 def quantile(dist: StepDistribution, beta: ScalarLike) -> Fraction:
@@ -199,18 +296,12 @@ def distribution_of_function(
     vals = [as_scalar(x) for x in values]
     if any(x < 0 for x in vals):
         raise NegativeValues("distribution requires nonnegative values")
-    masses: dict[Fraction, Fraction] = {}
-    for x, w in zip(vals, nu.weights):
-        masses[x] = masses.get(x, ZERO) + w
-    bps = []
-    lvs = []
-    acc = ZERO
-    for x in sorted(masses):
-        if masses[x] > 0:
-            acc += masses[x]
-            bps.append(x)
-            lvs.append(acc)
-    return StepDistribution(tuple(bps), tuple(lvs))
+    return StepDistribution._from_image(_distribution_image(vals, int_image(nu.weights)))
+
+
+def _function_image(w: WeightedSpace, f: SimpleFunction) -> _StepImage:
+    """Image of f's distribution under w's nu."""
+    return _distribution_image(f.values, w._nu_image)
 
 
 def distribution_of_density(w: WeightedSpace) -> StepDistribution:
@@ -223,17 +314,23 @@ def distribution_integral(dist: StepDistribution, upto: ScalarLike) -> Fraction:
     upto = as_scalar(upto)
     if upto < 0:
         raise ValueError("upper limit must be nonnegative")
-    total = ZERO
-    for j, (bp, lv) in enumerate(zip(dist.breakpoints, dist.levels)):
-        if bp >= upto:
-            break
-        nxt = (
-            dist.breakpoints[j + 1]
-            if j + 1 < len(dist.breakpoints)
-            else upto
-        )
-        total += lv * (min(nxt, upto) - bp)
-    return total
+    img = dist._image
+    un, ud = upto.numerator, upto.denominator
+    j = bisect_right(img.bps, un * img.bden // ud)  # breakpoints <= upto
+    if not j:
+        return ZERO
+    rest = img.lvs[j - 1] * (un * img.bden - img.bps[j - 1] * ud)
+    return Fraction(img.below[j - 1] * ud + rest, img.den * ud)
+
+
+def _inverse_area(img: _StepImage, x: Fraction) -> tuple[int, int]:
+    """Integral of the inverse over [0, x], as (numerator, denominator)."""
+    xn, xd = x.numerator, x.denominator
+    j = bisect_right(img.lvs, xn * img.lden // xd)  # levels <= x
+    if j == len(img.lvs):
+        return img.inverse_below[j], img.den
+    prev = img.lvs[j - 1] if j else 0
+    return img.inverse_below[j] * xd + img.bps[j] * (xn * img.lden - prev * xd), img.den * xd
 
 
 def quantile_integral(
@@ -245,40 +342,33 @@ def quantile_integral(
         raise BetaOutOfRange(
             f"integration range must sit inside [0, {dist.total}]"
         )
-    total = ZERO
-    for a, b, z in dist.quantile_segments():
-        left, right = max(a, lo), min(b, hi)
-        if left < right:
-            total += z * (right - left)
-    return total
+    (hn, hd), (ln, ld) = _inverse_area(dist._image, hi), _inverse_area(dist._image, lo)
+    return Fraction(hn * ld - ln * hd, hd * ld)
 
 
-def _survival_min_integral(dist: StepDistribution, cap: Fraction) -> Fraction:
+def _survival_min_integral(img: _StepImage, cap: Fraction) -> Fraction:
     """Integral over z >= 0 of min(total - F(z), cap)."""
-    total = ZERO
-    for start, end, surv in dist.survival_segments():
-        total += min(surv, cap) * (end - start)
-    return total
+    cd = cap.denominator
+    return Fraction(img.survival_min(cap.numerator, cd), cd * img.den)
 
 
 def v_mu(w: WeightedSpace, a_mask: int) -> Fraction:
     """Value at A of the law-invariant function built from the density."""
-    return _survival_min_integral(distribution_of_density(w), w.nu.mass(a_mask))
+    return _survival_min_integral(w._density_distribution._image, w.nu.mass(a_mask))
 
 
 def v_mu_set_function(w: WeightedSpace) -> SetFunction:
     """Materialize the law-invariant function on the whole subset lattice.
 
     v(A) depends on A only through nu(A), so each distinct subset mass is
-    integrated once, and the few distinct values go over one denominator.
+    integrated once, by one bisect, and every value is over one
+    denominator.
     """
-    dist = distribution_of_density(w)
-    ints, den = int_image(w.nu.weights)
+    img = w._density_distribution._image
+    ints, den = w._nu_image
     sums = subset_sums(ints)
-    masses = list(set(sums))
-    vals, vden = int_image([_survival_min_integral(dist, Fraction(s, den)) for s in masses])
-    by_mass = dict(zip(masses, vals))
-    return SetFunction.from_image(w.ground, [by_mass[s] for s in sums], vden)
+    by_mass = {s: img.survival_min(s, den) for s in set(sums)}
+    return SetFunction.from_image(w.ground, [by_mass[s] for s in sums], den * img.den)
 
 
 def v_mu_via_quantile(w: WeightedSpace, a_mask: int) -> Fraction:
@@ -292,12 +382,22 @@ def v_mu_integral(w: WeightedSpace, f: SimpleFunction) -> Fraction:
     """Choquet integral of f against the law-invariant function, by layers."""
     if f.ground != w.ground:
         raise ValueError("integrand lives on a different ground set")
-    dist = distribution_of_density(w)
-    layers = layer_decompose(f)
-    total = ZERO
-    for a, mask in zip(layers.coefficients, layers.sets):
-        total += a * _survival_min_integral(dist, w.nu.mass(mask))
-    return total
+    return _layer_integral(w._density_distribution._image, _function_image(w, f))
+
+
+def _layer_integral(d: _StepImage, g: _StepImage) -> Fraction:
+    """Layer-cake integral of f, with f's image g, against the function of d.
+
+    v(A) depends on A only through nu(A), so the layers {f >= x} of f's
+    values x without nu-mass merge into the next value up. The layer of
+    breakpoint j of g has nu-mass nu(full) less level j - 1, and
+    coefficient x_j less x_(j-1) (x_0 itself for the first).
+    """
+    total = 0
+    top = g.lvs[-1]
+    for x, prev, lv in zip(g.bps, [0] + g.bps, [0] + g.lvs):
+        total += (x - prev) * d.survival_min(top - lv, g.lden)
+    return Fraction(total, g.bden * g.lden * d.den)
 
 
 def choquet_product_formula(w: WeightedSpace, f: SimpleFunction) -> Fraction:
@@ -310,18 +410,18 @@ def choquet_product_formula(w: WeightedSpace, f: SimpleFunction) -> Fraction:
         raise ValueError("integrand lives on a different ground set")
     if not f.is_nonnegative():
         raise NegativeValues("product formula requires f >= 0")
-    fd = distribution_of_density(w)
-    ff = distribution_of_function(w.nu, f.values)
-    segs_d = fd.quantile_segments()
-    segs_f = ff.quantile_segments()
-    cuts = sorted({a for a, _, _ in segs_d} | {a for a, _, _ in segs_f}
-                  | {fd.total})
-    total = ZERO
-    for left, right in zip(cuts, cuts[1:]):
-        qd = next(z for a, b, z in segs_d if a <= left < b)
-        qf = next(z for a, b, z in segs_f if a <= left < b)
-        total += qd * qf * (right - left)
-    return total
+    d = w._density_distribution._image
+    g = _function_image(w, f)
+    # Both inverses are constant between consecutive levels, which share
+    # the nu image's denominator and end at nu(full): merge the two lists.
+    total = lo = i = j = 0
+    while i < len(d.lvs):
+        hi = min(d.lvs[i], g.lvs[j])
+        total += d.bps[i] * g.bps[j] * (hi - lo)
+        lo = hi
+        i += d.lvs[i] == hi
+        j += g.lvs[j] == hi
+    return Fraction(total, d.bden * g.bden * d.lden)
 
 
 def comonotone_check(f: SimpleFunction, g: SimpleFunction) -> bool:
@@ -411,13 +511,14 @@ def _check_chain_hypothesis(w: WeightedSpace, strict: bool) -> None:
                 "use strict=False for the explicit image check"
             )
         return
-    dist = distribution_of_density(w)
-    image_f = set(dist.levels)
-    if dist.breakpoints[0] > 0:
-        image_f.add(ZERO)
-    image_nu = set(subset_sums(w.nu.weights))
+    img = w._density_distribution._image
+    ints, den = w._nu_image  # the levels' denominator too
+    image_f = set(img.lvs)
+    if img.bps[0] > 0:
+        image_f.add(0)
+    image_nu = set(subset_sums(ints))
     if not image_nu <= image_f:
-        missing = sorted(image_nu - image_f)[0]
+        missing = Fraction(min(image_nu - image_f), den)
         raise ChainConditionError(
             f"distribution image misses the subset mass {missing}; "
             "the attainment hypothesis fails"
@@ -531,29 +632,27 @@ def kusuoka_measure(w: WeightedSpace) -> SpectralMeasure:
 
     for gamma in [0, 1).
     """
-    mu_total = w.mu_total
-    if mu_total == 0:
+    if w.mu_total == 0:
         raise ZeroTotalMass("spectral measure undefined: mu(full) = 0")
-    dist = distribution_of_density(w)
-    segs = dist.survival_segments()
-    nu_total = w.nu.total
-    # Tail integrals of the survival function from each segment start.
-    tails = [ZERO] * (len(segs) + 1)
-    for j in range(len(segs) - 1, -1, -1):
-        start, end, surv = segs[j]
-        tails[j] = tails[j + 1] + surv * (end - start)
-    # Survival values decrease along segments, so scanning them backwards
-    # yields the jump levels gamma in increasing order.
-    atoms = []
-    prev_mass = ZERO
-    for j in range(len(segs) - 1, -1, -1):
-        gamma = segs[j][2] / nu_total
-        cumulative = tails[j] / mu_total
-        jump = cumulative - prev_mass
-        if jump > 0:
-            atoms.append((gamma, jump))
-        prev_mass = cumulative
-    return SpectralMeasure(tuple(atoms))
+    return w._spectral_measure
+
+
+def _kusuoka(w: WeightedSpace) -> SpectralMeasure:
+    """:func:`kusuoka_measure`, built once per space.
+
+    Each positive piece of the density's survival function gives one
+    atom: its level is the survival over nu(full), and its mass the
+    piece's area over mu(full), so the atoms come in the order of the
+    pieces (the survival values are distinct, as the levels increase
+    strictly).
+    """
+    img = w._density_distribution._image
+    mu = w.mu_total
+    top, scale = img.lvs[-1], img.den * mu.numerator
+    return SpectralMeasure(tuple(
+        (Fraction(s, top), Fraction(s * n * mu.denominator, scale))
+        for s, n in zip(img.surv, img.lengths)
+    ))
 
 
 def cvar_component(
@@ -571,16 +670,8 @@ def cvar_component(
         raise ValueError("integrand lives on a different ground set")
     if not f.is_nonnegative():
         raise NegativeValues("tail component requires f >= 0")
-    dist = distribution_of_function(w.nu, f.values)
-    return _tail_component(dist, w.nu.total, w.mu_total, alpha)
-
-
-def _tail_component(
-    dist: StepDistribution, nu_total: Fraction, mu_total: Fraction, alpha: Fraction
-) -> Fraction:
-    """:func:`cvar_component` from f's distribution and the two totals."""
-    cap = alpha * nu_total
-    return mu_total / cap * _survival_min_integral(dist, cap)
+    cap = alpha * w.nu.total
+    return w.mu_total / cap * _survival_min_integral(_function_image(w, f), cap)
 
 
 @dataclass(frozen=True)
@@ -602,16 +693,23 @@ def spectral_decomposition_check(
     """Check v(f) = sum of mass * tail component over the spectral atoms."""
     if not f.is_nonnegative():
         raise NegativeValues("spectral decomposition requires f >= 0")
-    direct = v_mu_integral(w, f)
+    if f.ground != w.ground:
+        raise ValueError("integrand lives on a different ground set")
+    d, g = w._density_distribution._image, _function_image(w, f)
+    direct = _layer_integral(d, g)
     spectral = kusuoka_measure(w)
-    dist = distribution_of_function(w.nu, f.values)
-    nu_total, mu_total = w.nu.total, w.mu_total
+    mu = w.mu_total
+    # Atom p (see _kusuoka) sits at the cap surv[p] / lden of the density's
+    # survival; its tail component is mu(full) / cap times the survival
+    # integral of f at that cap, and mass times component is lengths[p]
+    # times that integral, so the sum has one integer numerator.
     components = []
-    acc = ZERO
-    for alpha, mass in spectral.atoms:
-        val = _tail_component(dist, nu_total, mu_total, alpha)
-        components.append((alpha, mass, val))
-        acc += mass * val
+    total = 0
+    for (alpha, mass), s, n in zip(spectral.atoms, d.surv, d.lengths):
+        area = g.survival_min(s, d.lden)
+        total += n * area
+        components.append((alpha, mass, Fraction(mu.numerator * area, mu.denominator * s * g.den)))
+    acc = Fraction(total, d.den * g.den)
     report = SpectralDecompositionReport(direct, acc, tuple(components))
     if not report.agrees:
         raise InternalConsistencyError(

@@ -213,16 +213,26 @@ class GroundSet:
         """All subset masks, in increasing bitmask order."""
         return range(1 << self.size)
 
+    # Built once on first lookup; not a field, so equality and hashing see
+    # only the labels.
+    @cached_property
+    def _positions(self) -> dict[str, int]:
+        return {lab: i for i, lab in enumerate(self.elements)}
+
     def index(self, label: str) -> int:
         try:
-            return self.elements.index(label)
-        except ValueError:
+            return self._positions[label]
+        except (KeyError, TypeError):  # TypeError: an unhashable label
             raise KeyError(f"unknown element label {label!r}") from None
 
     def mask_of(self, labels: Iterable[str]) -> int:
+        positions = self._positions
         mask = 0
         for lab in labels:
-            mask |= 1 << self.index(lab)
+            try:
+                mask |= 1 << positions[lab]
+            except (KeyError, TypeError):
+                self.index(lab)  # raises the unknown-label KeyError
         return mask
 
     def labels_of(self, mask: int) -> tuple[str, ...]:

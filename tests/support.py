@@ -26,6 +26,7 @@ from chainrep import (
     local_core_attainment,
 )
 from chainrep.chains import chain_opt_tails, indicator, lex_first_order
+from chainrep.choquet import layer_decompose
 from chainrep.setfn import int_image
 
 
@@ -208,6 +209,50 @@ def lane_edge_inputs(rng: random.Random, m: int) -> Iterator[SetFunction]:
         bump = rng.randint(BIG_NUMERATOR, 2 * BIG_NUMERATOR)
         values[s] = floor + Fraction(bump, rng.randint(1, BIG_DENOMINATOR))
     yield SetFunction(ground, tuple(values))
+
+
+def lawinv_edge_inputs(
+    rng: random.Random, m: int
+) -> Iterator[tuple[WeightedSpace, list[SimpleFunction]]]:
+    """Weighted spaces at the edges of the law-invariant integrals, with integrands.
+
+    Reference measures with zero weights (one weight stays positive),
+    densities with ties and zeros, a zero density (mu(full) = 0), a uniform
+    measure with distinct densities, and weights, densities and integrands
+    with 4000-digit numerators over denominators up to 3^40. Every space
+    comes with the zero and a constant integrand, one with ties and zeros,
+    and one with a negative value (for the routes that accept it).
+    """
+    ground = GroundSet.of_size(m)
+
+    def big():
+        return Fraction(rng.randint(BIG_NUMERATOR, 2 * BIG_NUMERATOR),
+                        rng.randint(1, BIG_DENOMINATOR))
+
+    def small(pool):
+        return Fraction(rng.choice(pool))
+
+    spaces = []
+    nu = [small((0, 0, 1, 2, "1/3", "5/2")) for _ in range(m)]
+    nu[rng.randrange(m)] = small((1, "2/3"))
+    spaces.append((nu, [small((0, 0, 1, 1, "7/3", 4)) for _ in range(m)]))
+    spaces.append((nu, [Fraction(0)] * m))
+    unit = small((1, "1/7"))
+    spaces.append(([unit] * m, [Fraction(x, 3) for x in rng.sample(range(0, 40), m)]))
+    nu = [big() if rng.random() < 0.8 else Fraction(0) for _ in range(m)]
+    nu[rng.randrange(m)] = big()
+    spaces.append((nu, [rng.choice((big(), Fraction(0), Fraction(1, 3))) for _ in range(m)]))
+    spaces.append(([big()] * m, [big() for _ in range(m)]))
+    for nu, density in spaces:
+        w = WeightedSpace(ground, DiscreteMeasure(ground, tuple(nu)), tuple(density))
+        ties = [small((0, 1, 1, "3/2", 5)) for _ in range(m)]
+        fs = [SimpleFunction.constant(ground, 0),
+              SimpleFunction.constant(ground, rng.choice((Fraction(3, 2), big()))),
+              SimpleFunction(ground, tuple(ties)),
+              SimpleFunction(ground, tuple(rng.choice((big(), Fraction(0), Fraction(2)))
+                                           for _ in range(m))),
+              SimpleFunction(ground, tuple(ties[:-1]) + (Fraction(-5, 2),))]
+        yield w, fs
 
 
 # ---------------------------------------------------------------------------
@@ -456,6 +501,129 @@ def brute_rearrangement_sup(
         if best is None or val > best:
             best, best_density = val, density
     return best, best_density
+
+
+# The Fraction layer the integer image of lawinv.py replaced, kept
+# literally: each distribution is its (breakpoints, levels) pair.
+
+def brute_distribution(nu: DiscreteMeasure, values) -> tuple[tuple, tuple]:
+    """Breakpoints and levels of F(y) = nu({ value <= y }); zero-mass jumps dropped."""
+    masses: dict[Fraction, Fraction] = {}
+    for x, w in zip(values, nu.weights):
+        masses[x] = masses.get(x, Fraction(0)) + w
+    bps, lvs, acc = [], [], Fraction(0)
+    for x in sorted(masses):
+        if masses[x] > 0:
+            acc += masses[x]
+            bps.append(x)
+            lvs.append(acc)
+    return tuple(bps), tuple(lvs)
+
+
+def brute_survival_segments(dist) -> list[tuple[Fraction, Fraction, Fraction]]:
+    bps, lvs = dist
+    segs = []
+    if bps[0] > 0:
+        segs.append((Fraction(0), bps[0], lvs[-1]))
+    for j in range(len(bps) - 1):
+        surv = lvs[-1] - lvs[j]
+        if surv > 0:
+            segs.append((bps[j], bps[j + 1], surv))
+    return segs
+
+
+def brute_quantile_segments(dist) -> list[tuple[Fraction, Fraction, Fraction]]:
+    segs, prev = [], Fraction(0)
+    for bp, lv in zip(*dist):
+        if lv > prev:
+            segs.append((prev, lv, bp))
+            prev = lv
+    return segs
+
+
+def brute_value_at(dist, z: Fraction) -> Fraction:
+    out = Fraction(0)
+    for bp, lv in zip(*dist):
+        if bp <= z:
+            out = lv
+    return out
+
+
+def brute_quantile(dist, beta: Fraction) -> Fraction:
+    return next(bp for bp, lv in zip(*dist) if lv > beta)
+
+
+def brute_survival_min_integral(dist, cap: Fraction) -> Fraction:
+    """Integral over z >= 0 of min(total - F(z), cap), segment by segment."""
+    return sum((min(surv, cap) * (end - start)
+                for start, end, surv in brute_survival_segments(dist)), Fraction(0))
+
+
+def brute_distribution_integral(dist, upto: Fraction) -> Fraction:
+    bps, lvs = dist
+    total = Fraction(0)
+    for j, (bp, lv) in enumerate(zip(bps, lvs)):
+        if bp >= upto:
+            break
+        nxt = bps[j + 1] if j + 1 < len(bps) else upto
+        total += lv * (min(nxt, upto) - bp)
+    return total
+
+
+def brute_quantile_integral(dist, lo: Fraction, hi: Fraction) -> Fraction:
+    total = Fraction(0)
+    for a, b, z in brute_quantile_segments(dist):
+        left, right = max(a, lo), min(b, hi)
+        if left < right:
+            total += z * (right - left)
+    return total
+
+
+def brute_v_mu_integral(w: WeightedSpace, f: SimpleFunction) -> Fraction:
+    """Layer route: one survival integral per level set of f."""
+    dist = brute_distribution(w.nu, w.density)
+    layers = layer_decompose(f)
+    return sum((a * brute_survival_min_integral(dist, w.nu.mass(mask))
+                for a, mask in zip(layers.coefficients, layers.sets)), Fraction(0))
+
+
+def brute_product_formula(w: WeightedSpace, f: SimpleFunction) -> Fraction:
+    """Product of the two quantile functions, scanned per cut."""
+    dist_d = brute_distribution(w.nu, w.density)
+    segs_d = brute_quantile_segments(dist_d)
+    segs_f = brute_quantile_segments(brute_distribution(w.nu, f.values))
+    cuts = sorted({a for a, _, _ in segs_d} | {a for a, _, _ in segs_f} | {dist_d[1][-1]})
+    total = Fraction(0)
+    for left, right in zip(cuts, cuts[1:]):
+        qd = next(z for a, b, z in segs_d if a <= left < b)
+        qf = next(z for a, b, z in segs_f if a <= left < b)
+        total += qd * qf * (right - left)
+    return total
+
+
+def brute_kusuoka(w: WeightedSpace) -> tuple[tuple[Fraction, Fraction], ...]:
+    """Spectral atoms from the tail integrals of the density's survival, by level descending."""
+    mu_total = sum((d * x for d, x in zip(w.density, w.nu.weights)), Fraction(0))
+    nu_total = sum(w.nu.weights, Fraction(0))
+    segs = brute_survival_segments(brute_distribution(w.nu, w.density))
+    tails = [Fraction(0)] * (len(segs) + 1)
+    for j in range(len(segs) - 1, -1, -1):
+        start, end, surv = segs[j]
+        tails[j] = tails[j + 1] + surv * (end - start)
+    atoms = []
+    prev_mass = Fraction(0)
+    for j in range(len(segs) - 1, -1, -1):
+        cumulative = tails[j] / mu_total
+        if cumulative > prev_mass:
+            atoms.append((segs[j][2] / nu_total, cumulative - prev_mass))
+        prev_mass = cumulative
+    return tuple(sorted(atoms, reverse=True))
+
+
+def brute_tail_component(w: WeightedSpace, f: SimpleFunction, alpha: Fraction) -> Fraction:
+    mu_total = sum((d * x for d, x in zip(w.density, w.nu.weights)), Fraction(0))
+    cap = alpha * sum(w.nu.weights, Fraction(0))
+    return mu_total / cap * brute_survival_min_integral(brute_distribution(w.nu, f.values), cap)
 
 
 def frac(x) -> Fraction:

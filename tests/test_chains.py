@@ -177,6 +177,14 @@ class TestDiscreteMeasure:
         with pytest.raises(ValueError):
             DiscreteMeasure(g(2), (Fraction(-1), Fraction(1)))
 
+    def test_cached_total_leaves_equality_and_hash(self):
+        weights = (Fraction(1, 3), Fraction(0), Fraction(5, 2))
+        mu, fresh = DiscreteMeasure(g(3), weights), DiscreteMeasure(g(3), weights)
+        assert mu.total == mu.total == Fraction(17, 6)
+        assert mu == fresh and hash(mu) == hash(fresh)
+        assert DiscreteMeasure.zero(g(3)).total == 0
+        assert mu != DiscreteMeasure(g(3), weights[:2] + (Fraction(5, 3),))
+
     def test_as_set_function_is_modular(self):
         mu = DiscreteMeasure(g(3), (Fraction(2), Fraction(3), Fraction(4)))
         v = mu.as_set_function()

@@ -17,6 +17,7 @@ from chainrep import (
     StepDistribution,
     TiedDensities,
     WeightedSpace,
+    ZeroTotalMass,
     choquet,
     choquet_product_formula,
     comonotone_attainment,
@@ -533,3 +534,174 @@ class TestSpectralDecomposition:
             f = support.random_simple(rng, g(m), lo=0, hi=6)
             for alpha, _mass, value in spectral_decomposition_check(w, f).components:
                 assert value == cvar_component(w, f, alpha)
+
+
+class TestCaches:
+    def test_space_caches_leave_equality_and_hash(self):
+        rng = random.Random(7481)
+        w = support.random_weighted_space(rng, g(5))
+        fresh = WeightedSpace(w.ground, w.nu, w.density)
+        f = support.random_simple(rng, g(5), lo=0, hi=6)
+        spectral_decomposition_check(w, f)
+        v_mu_set_function(w)
+        assert kusuoka_measure(w) is kusuoka_measure(w)
+        assert distribution_of_density(w) is distribution_of_density(w)
+        assert w == fresh and hash(w) == hash(fresh)
+        assert kusuoka_measure(w) == kusuoka_measure(fresh)
+
+    def test_image_built_distribution_equals_the_checked_one(self):
+        nu = DiscreteMeasure(g(4), (Fraction(1), Fraction(0), Fraction(2, 3), Fraction(1)))
+        dist = distribution_of_function(nu, (Fraction(3), Fraction(1), Fraction(1, 2), 3))
+        checked = StepDistribution(dist.breakpoints, dist.levels)
+        assert dist == checked and hash(dist) == hash(checked)
+        assert dist.breakpoints == (Fraction(1, 2), Fraction(3))
+        assert dist.levels == (Fraction(2, 3), Fraction(8, 3))
+        for z in (0, Fraction(1, 2), 1, 3, 4):
+            assert dist.value_at(z) == checked.value_at(z)
+
+
+class TestFractionOracles:
+    """The integer image against the Fraction layer it replaced, at m = 1..7.
+
+    Lookups and integrals are probed at every breakpoint and level, where a
+    bisect on the wrong side of a tie would show, and between them.
+    """
+
+    @staticmethod
+    def cases(seed):
+        rng = random.Random(seed)
+        for m in range(1, 8):
+            yield from support.lawinv_edge_inputs(rng, m)
+
+    @staticmethod
+    def probes(points, total):
+        """Each point, the midpoints between them, and one point past the last."""
+        pts = sorted(set(points))
+        mids = [(a + b) / 2 for a, b in zip(pts, pts[1:])]
+        return pts + mids + [pts[-1] + 1, Fraction(0), total / 3]
+
+    def test_distributions_and_lookups(self):
+        for w, fs in self.cases(7411):
+            dists = [(distribution_of_density(w), support.brute_distribution(w.nu, w.density))]
+            dists += [(distribution_of_function(w.nu, f.values),
+                       support.brute_distribution(w.nu, f.values))
+                      for f in fs if f.is_nonnegative()]
+            # Built by the checked constructor: a breakpoint at 0 and
+            # repeated levels, which no distribution of a function has.
+            bps, lvs = dists[0][1]
+            bps = (Fraction(0),) + tuple(b + 1 for b in bps)
+            lvs = (lvs[0],) + lvs
+            dists.append((StepDistribution(bps, lvs), (bps, lvs)))
+            for dist, brute in dists:
+                assert (dist.breakpoints, dist.levels) == brute
+                assert dist.survival_segments() == support.brute_survival_segments(brute)
+                assert dist.quantile_segments() == support.brute_quantile_segments(brute)
+                for z in self.probes(brute[0], brute[1][-1]):
+                    assert dist.value_at(z) == support.brute_value_at(brute, z)
+                    assert distribution_integral(dist, z) == \
+                        support.brute_distribution_integral(brute, z)
+                betas = [b for b in self.probes(brute[1], brute[1][-1]) if b < dist.total]
+                for beta in betas:
+                    assert quantile(dist, beta) == support.brute_quantile(brute, beta)
+                ends = betas + [dist.total]
+                for lo in ends:
+                    for hi in ends:
+                        if lo <= hi:
+                            assert quantile_integral(dist, lo, hi) == \
+                                support.brute_quantile_integral(brute, lo, hi)
+
+    def test_set_function_values(self):
+        for w, _ in self.cases(7417):
+            brute = support.brute_distribution(w.nu, w.density)
+            v = v_mu_set_function(w)
+            for mask in w.ground.subsets():
+                want = support.brute_survival_min_integral(brute, w.nu.mass(mask))
+                assert v(mask) == v_mu(w, mask) == v_mu_via_quantile(w, mask) == want
+
+    def test_integral_routes(self):
+        for w, fs in self.cases(7433):
+            for f in fs:
+                want = support.brute_v_mu_integral(w, f)
+                assert v_mu_integral(w, f) == want
+                if not f.is_nonnegative():
+                    continue
+                assert choquet_product_formula(w, f) == support.brute_product_formula(w, f)
+                assert choquet_product_formula(w, f) == want
+                for alpha in (Fraction(1), Fraction(1, 2), Fraction(1, 3 ** 40)):
+                    assert cvar_component(w, f, alpha) == \
+                        support.brute_tail_component(w, f, alpha)
+
+    def test_spectral_atoms_and_components(self):
+        zero_mass = 0
+        for w, fs in self.cases(7451):
+            if not any(d * x for d, x in zip(w.density, w.nu.weights)):
+                zero_mass += 1
+                with pytest.raises(ZeroTotalMass, match=r"^spectral measure undefined: "
+                                                        r"mu\(full\) = 0$"):
+                    kusuoka_measure(w)
+                continue
+            atoms = support.brute_kusuoka(w)
+            assert kusuoka_measure(w).atoms == atoms
+            for f in fs:
+                if not f.is_nonnegative():
+                    continue
+                report = spectral_decomposition_check(w, f)
+                assert report.components == tuple(
+                    (a, mass, support.brute_tail_component(w, f, a)) for a, mass in atoms
+                )
+                assert report.direct == report.by_components == \
+                    support.brute_v_mu_integral(w, f)
+        assert zero_mass >= 7  # the zero density, once per m
+
+    def test_domination_and_attainment(self):
+        rng = random.Random(7459)
+        attained = 0
+        for w, fs in self.cases(7457):
+            m = w.ground.size
+            aligned = support.comonotone_partner(rng, w)
+            for f in [f for f in fs if f.is_nonnegative()] + [aligned]:
+                # The literal sweep of the class up to m = 5; above, the DP,
+                # which TestRearrangementSup checks against it up to m = 7.
+                sup, best = (support.brute_rearrangement_sup(w, f) if m <= 5
+                             else rearrangement_sup(w, f))
+                paired = sum((x * d * wt for x, d, wt in
+                              zip(f.values, w.density, w.nu.weights)), Fraction(0))
+                choq = support.brute_v_mu_integral(w, f)
+                report = domination_report(w, f)
+                assert (report.choquet_value, report.rearrangement_supremum,
+                        report.best_density, report.paired_integral) == (choq, sup, best, paired)
+            if len(set(w.nu.weights)) == 1 and len(set(w.density)) == m:
+                attained += 1
+                assert comonotone_attainment(w, aligned) == (choq, paired, sup)
+        assert attained >= 7
+
+    def test_refusals_keep_type_and_message(self):
+        w = counting_space((2, 0))
+        dist = distribution_of_density(w)
+        refusals = [
+            (lambda: quantile(dist, 2), BetaOutOfRange, "beta must lie in [0, 2), got 2"),
+            (lambda: quantile(dist, Fraction(-1, 3)), BetaOutOfRange,
+             "beta must lie in [0, 2), got -1/3"),
+            (lambda: quantile_integral(dist, 1, Fraction(5, 2)), BetaOutOfRange,
+             "integration range must sit inside [0, 2]"),
+            (lambda: distribution_integral(dist, -1), ValueError,
+             "upper limit must be nonnegative"),
+            (lambda: distribution_of_function(DiscreteMeasure.zero(g(2)), (1, 2)),
+             ValueError, "need matching nonempty breakpoints and levels"),
+            (lambda: distribution_of_function(w.nu, (1, Fraction(-1, 2))), NegativeValues,
+             "distribution requires nonnegative values"),
+            (lambda: v_mu_integral(w, fn(g(3), (1, 1, 1))), ValueError,
+             "integrand lives on a different ground set"),
+            (lambda: choquet_product_formula(w, fn(w.ground, (1, -1))), NegativeValues,
+             "product formula requires f >= 0"),
+            (lambda: cvar_component(w, fn(w.ground, (1, 0)), 0), AlphaOutOfRange,
+             "alpha must lie in (0, 1], got 0"),
+            (lambda: kusuoka_measure(counting_space((0, 0))), ZeroTotalMass,
+             "spectral measure undefined: mu(full) = 0"),
+            (lambda: spectral_decomposition_check(w, fn(w.ground, (0, -1))), NegativeValues,
+             "spectral decomposition requires f >= 0"),
+        ]
+        for call, kind, message in refusals:
+            with pytest.raises(kind) as info:
+                call()
+            assert type(info.value) is kind and str(info.value) == message

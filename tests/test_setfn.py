@@ -39,6 +39,19 @@ class TestGroundSet:
         assert ground.subset_key(0) == ""
         assert ground.subset_key(0b110) == "b,c"
 
+    def test_label_lookup_and_refusals(self):
+        ground = GroundSet(("10", "2", "b", "a", "1", "B", "x", "03"))
+        for i, lab in enumerate(ground.elements):
+            assert ground.index(lab) == i
+        assert ground.mask_of(["a", "10", "a"]) == 0b1001
+        assert ground == GroundSet(tuple(ground.elements))
+        assert hash(ground) == hash(GroundSet(tuple(ground.elements)))
+        for bad in ("z", "A", "", 3, ["a"]):
+            for lookup in (ground.index, lambda lab: ground.mask_of(["a", lab])):
+                with pytest.raises(KeyError) as info:
+                    lookup(bad)
+                assert info.value.args == (f"unknown element label {bad!r}",)
+
     def test_size_limits(self):
         with pytest.raises(ValueError):
             GroundSet(())

@@ -122,3 +122,32 @@ def test_set_function_image_is_read_not_rebuilt():
             ):
                 rebuilt.append((path.name, node.lineno))
     assert rebuilt == []
+
+
+def test_lawinv_loops_read_the_integer_image():
+    # Every law-invariant integral is a bisect on a distribution's integer
+    # image. A level mask, a Fraction mass, a layer decomposition, a rebuilt
+    # survival segment list or a Fraction survival integral per loop
+    # iteration is the Fraction layer route that the image replaced.
+    per_iteration = {"layer_decompose", "level_mask", "mass", "survival_segments",
+                     "_survival_min_integral"}
+    loops = (ast.For, ast.AsyncFor, ast.While, ast.ListComp, ast.SetComp,
+             ast.DictComp, ast.GeneratorExp)
+    tree = ast.parse((SRC / "lawinv.py").read_text())
+    functions = [(node.name, node) for node in tree.body if isinstance(node, ast.FunctionDef)]
+    functions += [(f"{cls.name}.{node.name}", node)
+                  for cls in tree.body if isinstance(cls, ast.ClassDef)
+                  for node in cls.body if isinstance(node, ast.FunctionDef)]
+    assert len(functions) > 30
+    sites = set()
+    for name, fn in functions:
+        for loop in ast.walk(fn):
+            if not isinstance(loop, loops):
+                continue
+            for node in ast.walk(loop):
+                if isinstance(node, ast.Call):
+                    func = node.func
+                    called = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                    if called in per_iteration:
+                        sites.add((name, called))
+    assert sites == set()
