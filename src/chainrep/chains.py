@@ -16,7 +16,10 @@ functions and ordinary measures used throughout the package.
 A chain is also a lattice path from the empty set to the full set, so one
 DP over the 2^m subsets (:func:`chain_opt`) optimizes over all m! chains,
 and one table over the pairs S, R <= complement(S) (:func:`chain_opt_all`)
-gives the optimum for the indicator of every subset at once.
+gives the optimum for the indicator of every subset at once. These
+kernels only maximize: a minimum over chains is the maximum for -v,
+negated, with the same attaining chains, since every chain measure of -v
+is the negated chain measure of v.
 """
 
 from __future__ import annotations
@@ -104,6 +107,7 @@ class DiscreteMeasure:
         return sum(self.weights, Fraction(0))
 
     def mass(self, mask: int) -> Fraction:
+        self.ground.require_mask(mask)
         total = Fraction(0)
         for i, w in enumerate(self.weights):
             if mask >> i & 1:
@@ -205,13 +209,11 @@ def indicator(mask: int, m: int) -> list[int]:
     return [mask >> i & 1 for i in range(m)]
 
 
-def chain_opt_tails(
-    values: Sequence[int], weights: Sequence[int], maximize: bool
-) -> list[int]:
-    """tails[S] = best weighted increment sum over lattice paths S -> full.
+def chain_opt_tails(values: Sequence[int], weights: Sequence[int]) -> list[int]:
+    """tails[S] = largest weighted increment sum over lattice paths S -> full.
 
     A step S -> S|i contributes ``weights[i] * (values[S|i] - values[S])``;
-    tails[0] is the optimum over all maximal chains. Zero weights are
+    tails[0] is the maximum over all maximal chains. Zero weights are
     skipped, so an indicator costs one addition per contributing step.
     """
     m = len(weights)
@@ -225,27 +227,26 @@ def chain_opt_tails(
             if not s & b:
                 t = s | b
                 g = tails[t] + w * (values[t] - vs) if w else tails[t]
-                if best is None or (g > best if maximize else g < best):
+                if best is None or g > best:
                     best = g
         tails[s] = best
     return tails
 
 
-def chain_opt_all(values: Sequence[int], maximize: bool) -> list[int]:
-    """opt[A] = chain optimum of the indicator of A, for every A at once.
+def chain_opt_all(values: Sequence[int]) -> list[int]:
+    """opt[A] = chain maximum of the indicator of A, for every A at once.
 
     tails[S] for the indicator of A depends on A only through R = A - S,
     so one table T[S][R] over R <= complement(S) serves every A:
-    T[S][R] = best over i outside S of T[S|i][R - i], plus the increment
-    values[S|i] - values[S] when i is in R, and opt[A] = T[0][A]. T[S] is
-    indexed by R's bits within the complement of S, in index order. That
+    T[S][R] = the largest over i outside S of T[S|i][R - i], plus the
+    increment values[S|i] - values[S] when i is in R, and opt[A] = T[0][A].
+    T[S] is indexed by R's bits within the complement of S, in index order. That
     is O(3^m * m) time and O(3^m) memory, against 2^m calls of
     :func:`chain_opt_tails`; opt[A] equals ``chain_opt_tails`` of the
     indicator of A at the empty set.
     """
     full = len(values) - 1
     m = full.bit_length()
-    pick = max if maximize else min
     table: list = [None] * (full + 1)
     table[full] = [0]
     for s in range(full - 1, -1, -1):
@@ -265,7 +266,7 @@ def chain_opt_all(values: Sequence[int], maximize: bool) -> list[int]:
             for h in range(0, len(child), step):
                 cand += child[h:h + step]
                 cand += added[h:h + step]
-            best = cand if best is None else list(map(pick, best, cand))
+            best = cand if best is None else list(map(max, best, cand))
             rank += 1
         table[s] = best
     return table[0]
@@ -286,19 +287,19 @@ def lex_first_order(
 
 
 def chain_opt(
-    v: SetFunction, weights: Sequence[int | Fraction], maximize: bool
+    v: SetFunction, weights: Sequence[int | Fraction]
 ) -> tuple[Fraction, Chain]:
-    """Optimum over all chains of the chain measure integrated against weights.
+    """Maximum over all chains of the chain measure integrated against weights.
 
-    Returns the exact maximum (or minimum) of ``sum weights[i] * mu_C({i})``
-    over the telescoped measures mu_C, with the lexicographically first
-    attaining chain; equal to the literal m! sweep, which the tests check.
+    Returns the exact maximum of ``sum weights[i] * mu_C({i})`` over the
+    telescoped measures mu_C, with the lexicographically first attaining
+    chain; equal to the literal m! sweep, which the tests check.
     """
     require_sweepable(v.ground)
     if len(weights) != v.ground.size:
         raise ValueError("one weight per ground element required")
     values, den = v.image
     wts, wden = int_image(weights)
-    tails = chain_opt_tails(values, wts, maximize)
+    tails = chain_opt_tails(values, wts)
     order = lex_first_order(values, wts, tails)
     return Fraction(tails[0], den * wden), Chain(v.ground, order)

@@ -162,7 +162,7 @@ def choquet_sup_representation(
             f"base mask {witness.base} with elements {witness.i}, {witness.j}"
         )
     require_monotone(v, "the chain representation", NonMonotoneAlongChain)
-    return chain_opt(v, f.values, maximize=True)
+    return chain_opt(v, f.values)
 
 
 def risk_measure(v: SetFunction, f: SimpleFunction) -> Fraction:

@@ -294,6 +294,9 @@ def distribution_of_function(
     representation is canonical with at most m breakpoints.
     """
     vals = [as_scalar(x) for x in values]
+    if len(vals) != nu.ground.size:
+        raise ValueError(f"one value per ground element required: "
+                         f"got {len(vals)} for m = {nu.ground.size}")
     if any(x < 0 for x in vals):
         raise NegativeValues("distribution requires nonnegative values")
     return StepDistribution._from_image(_distribution_image(vals, int_image(nu.weights)))

@@ -30,7 +30,7 @@ def recursion_step(v: SetFunction) -> SetFunction:
     require_sweepable(v.ground)
     require_monotone(v, "the recursion step")
     ints, den = v.image
-    return SetFunction.from_image(v.ground, chain_opt_all(ints, maximize=True), den)
+    return SetFunction.from_image(v.ground, chain_opt_all(ints), den)
 
 
 @dataclass(frozen=True)
@@ -67,6 +67,8 @@ def iterate_to_fixed_point(
     trace attached. A reached fixed point is always submodular; that is
     re-checked and a failure would be a bug.
     """
+    if max_steps is not None and max_steps < 0:
+        raise ValueError(f"max_steps must be nonnegative, got {max_steps}")
     require_monotone(v0, "the recursion")
     if max_steps is None:
         max_steps = 1 << v0.ground.size

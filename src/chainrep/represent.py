@@ -12,7 +12,12 @@ equivalent, and this module decides each one independently:
     the lower core at A (which then attains the local supremum at B).
 
 The supermodular mirror replaces maxima by minima and the lower core by
-the upper core.
+the upper core. It is the same statement for -v: v is supermodular iff -v
+is submodular, every chain measure of -v is the negated one of v, and mu
+lies in the upper core of v iff -mu lies in the lower core of -v. So each
+route computes the submodular side only, and the mirror runs it on the
+negated integer image. Negation keeps every violating triple, chain,
+nested pair and mask in its order, so the witnesses are the same.
 
 Each route runs on the common-denominator integer image that v stores, so
 arithmetic is exact and no Fraction, chain or measure object is built
@@ -65,8 +70,7 @@ from .chains import (
 )
 from .errors import NotNested
 from .setfn import (
-    GroundSet, SetFunction, _CoreLanes, int_image, is_submodular, is_supermodular,
-    require_monotone,
+    GroundSet, SetFunction, _CoreLanes, _exchange_violation, int_image, require_monotone,
 )
 
 
@@ -77,12 +81,15 @@ def sup_over_chains(v: SetFunction, a_mask: int) -> tuple[Fraction, Chain]:
     lexicographically first attaining chain; the maximum dominates v at
     the subset, with equality everywhere iff v is submodular.
     """
-    return chain_opt(v, indicator(a_mask, v.ground.size), maximize=True)
+    v.ground.require_mask(a_mask)
+    return chain_opt(v, indicator(a_mask, v.ground.size))
 
 
 def inf_over_chains(v: SetFunction, a_mask: int) -> tuple[Fraction, Chain]:
-    """Minimum counterpart of :func:`sup_over_chains` (supermodular side)."""
-    return chain_opt(v, indicator(a_mask, v.ground.size), maximize=False)
+    """Minimum counterpart of :func:`sup_over_chains`: the maximum for -v, negated."""
+    v.ground.require_mask(a_mask)
+    value, chain = chain_opt(v, [-x for x in indicator(a_mask, v.ground.size)])
+    return -value, chain
 
 
 def in_lower_core(
@@ -142,6 +149,8 @@ class LocalCoreReport:
 def local_core_attainment(
     v: SetFunction, a_mask: int, b_mask: int, lower: bool = True
 ) -> LocalCoreReport:
+    v.ground.require_mask(a_mask)
+    v.ground.require_mask(b_mask)
     if b_mask & ~a_mask:
         raise NotNested("B must be contained in A")
     chain = insert_nested_pair(Chain.identity(v.ground), a_mask, b_mask)
@@ -162,18 +171,17 @@ def _restricted_core_check(
     v: SetFunction, mu: DiscreteMeasure, a_mask: int, lower: bool
 ) -> tuple[bool, int | None]:
     # One lane comparison over the submasks of A, in increasing bitmask
-    # order, with v and mu over one common denominator.
+    # order, with v and mu over one common denominator. The upper core is
+    # the lower-core test of -mu against -v.
     vals, vden = v.image
     wts, wden = int_image(mu.weights)
-    den = lcm(vden, wden)
+    den = lcm(vden, wden) * (1 if lower else -1)
     vscale, wscale = den // vden, den // wden
     elems = [i for i in range(v.ground.size) if a_mask >> i & 1]
     subs = subset_sums([1 << i for i in elems])
     caps = [vals[c] * vscale for c in subs]
     local = [wts[i] * wscale for i in elems]
-    # caps[0] = v(empty) = 0 and the weights are nonnegative, so every
-    # subset sum lies in [0, sum(local)].
-    k = _CoreLanes(caps, min(caps), max(max(caps), sum(local)), lower).first_escape(local)
+    k = _CoreLanes(caps, sum(local)).first_escape(local)
     return (True, None) if k is None else (False, subs[k])
 
 
@@ -209,18 +217,18 @@ class EquivalenceReport:
 
 
 def _extremal_measures_in_core(
-    ground: GroundSet, values: Sequence[int], lower: bool
+    ground: GroundSet, values: Sequence[int]
 ) -> tuple[bool, tuple[Chain, int] | None]:
-    """(b): every chain's telescoped measure is dominated by / dominates v.
+    """(b): every chain's telescoped measure is dominated by v.
 
     The literal sweep over the m! permutations, on the integer image; the
     witness is the first chain in lexicographic order and its first
     violated mask in bitmask order.
     """
     m = ground.size
-    # v is monotone, so 0 = v(empty) <= v <= v(full) and every chain's
-    # subset sums lie in [0, v(full)] as well.
-    lanes = _CoreLanes(values, 0, values[-1], lower)
+    # v or -v is monotone, so every chain's weights share one sign and
+    # sum to v(full).
+    lanes = _CoreLanes(values, values[-1])
     for order in itertools.permutations(range(m)):
         weights = [0] * m
         prev = 0
@@ -237,24 +245,24 @@ def _extremal_measures_in_core(
 
 
 def _sup_matches_everywhere(
-    ground: GroundSet, values: Sequence[int], maximize: bool
+    ground: GroundSet, values: Sequence[int]
 ) -> tuple[bool, tuple[int, Chain] | None]:
-    """(c): the chain optimum agrees with v on every subset.
+    """(c): the chain maximum agrees with v on every subset.
 
     One all-subsets table decides it; the lex-first witness chain is
     rebuilt for the first failing subset only.
     """
-    opt = chain_opt_all(values, maximize)
+    opt = chain_opt_all(values)
     if opt == list(values):
         return True, None
     a = next(a for a, (x, y) in enumerate(zip(opt, values)) if x != y)
     weights = indicator(a, ground.size)
-    tails = chain_opt_tails(values, weights, maximize)
+    tails = chain_opt_tails(values, weights)
     return False, (a, Chain(ground, lex_first_order(values, weights, tails)))
 
 
 def _local_candidates_in_core(
-    values: Sequence[int], lower: bool
+    values: Sequence[int]
 ) -> tuple[bool, tuple[int, int, int] | None]:
     """(d): the constructive nested-pair measures all lie in the local core.
 
@@ -268,8 +276,8 @@ def _local_candidates_in_core(
     for a in range(len(values)):
         elems = [1 << i for i in range(a.bit_length()) if a >> i & 1]
         subs = subset_sums(elems)  # the submasks of A, in increasing order
-        # v is monotone: caps and every telescoped sum lie in [0, v(A)].
-        lanes = _CoreLanes([values[c] for c in subs], 0, values[a], lower)
+        # Each measure telescoped inside A has weights of one sign, summing to v(A).
+        lanes = _CoreLanes([values[c] for c in subs], values[a])
         local = range(len(elems))
         for j, b in enumerate(subs):
             order = [k for k in local if j >> k & 1]
@@ -287,25 +295,24 @@ def _local_candidates_in_core(
     return True, None
 
 
-def _verify(v: SetFunction, lower: bool) -> EquivalenceReport:
+def _verify(v: SetFunction, side: str, values: Sequence[int]) -> EquivalenceReport:
+    """The four submodular-side routes on ``values``, the image of v or -v."""
     require_monotone(v, "equivalence verification")
     require_sweepable(v.ground)
-    a_holds, a_wit = is_submodular(v) if lower else is_supermodular(v)
-    values = v.image[0]
-    b_holds, b_wit = _extremal_measures_in_core(v.ground, values, lower)
-    c_holds, c_wit = _sup_matches_everywhere(v.ground, values, maximize=lower)
-    d_holds, d_wit = _local_candidates_in_core(values, lower)
+    a_wit = _exchange_violation(values)
+    b_holds, b_wit = _extremal_measures_in_core(v.ground, values)
+    c_holds, c_wit = _sup_matches_everywhere(v.ground, values)
+    d_holds, d_wit = _local_candidates_in_core(values)
     return EquivalenceReport(
-        "submodular" if lower else "supermodular",
-        a_holds, a_wit, b_holds, b_wit, c_holds, c_wit, d_holds, d_wit,
+        side, a_wit is None, a_wit, b_holds, b_wit, c_holds, c_wit, d_holds, d_wit,
     )
 
 
 def verify_submodular_equivalence(v: SetFunction) -> EquivalenceReport:
     """Evaluate all four submodular-side statements independently."""
-    return _verify(v, lower=True)
+    return _verify(v, "submodular", v.image[0])
 
 
 def verify_supermodular_equivalence(v: SetFunction) -> EquivalenceReport:
-    """Evaluate the four dual statements: infima and the upper core."""
-    return _verify(v, lower=False)
+    """The four dual statements, infima and the upper core: those of -v."""
+    return _verify(v, "supermodular", [-x for x in v.image[0]])

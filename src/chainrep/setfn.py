@@ -29,7 +29,10 @@ distinct values), against about 1.3 ms for :func:`dual_transform`.
 
 Both modularity predicates are decided through the equivalent local
 exchange test over triples ``(A, i, j)`` with ``i != j`` outside ``A``,
-which is quadratically cheaper than scanning all pairs of subsets.
+which is quadratically cheaper than scanning all pairs of subsets. The
+test is written for the submodular side only: v is supermodular iff -v is
+submodular, so :func:`is_supermodular` runs it on the negated image, whose
+violating triples are v's, in the same order, with the same first witness.
 
 Every exhaustive sign test of the package runs on one lane kernel,
 :class:`_Lanes`: the integer image is packed into fixed-width lanes of one
@@ -38,7 +41,8 @@ values in a single C-level pass, and no carry or borrow ever crosses a lane
 (the bound is stated on the class). The monotone test costs a few big-int
 operations per element i, the exchange test a few per pair i < j, and the
 core checks of :mod:`chainrep.represent` three per telescoped measure
-(:class:`_CoreLanes`). Witnesses are the lowest failing lane, so they are
+(:class:`_CoreLanes`, the lower-core side; the upper core is the lower
+core of -v). Witnesses are the lowest failing lane, so they are
 the same as those of the literal scans in bitmask order. On a 2-vCPU VM,
 :func:`is_submodular` on a submodular input at m = 14 takes about 15 ms,
 against about 150 ms for a scan per triple. The trade-off: a scan stops
@@ -98,9 +102,9 @@ class _Lanes:
 
     Lane k, ``width`` bits from bit ``k * width``, holds ``ints[k] - lo``.
     The width is whole bytes and at least ``(hi - lo).bit_length() + 2``
-    bits, where every value the caller compares lies in ``[lo, hi]``. With
-    ``H = 2^(width-1)`` (the top bit of a lane) and ``Q = H / 2`` this
-    gives ``hi - lo < Q``, so
+    bits, where ``[lo, hi]`` is the range of ``ints`` and ``reach`` (the
+    weights' total for :class:`_CoreLanes`, else 0). With ``H = 2^(width-1)``
+    (the top bit of a lane) and ``Q = H / 2`` this gives ``hi - lo < Q``, so
 
     * the packed lanes lie in ``[0, Q)``, and so do lanes shifted in from
       beyond the last one, which read 0;
@@ -114,7 +118,9 @@ class _Lanes:
     is the exactness proof; nothing is rounded.
     """
 
-    def __init__(self, ints: Sequence[int], lo: int, hi: int):
+    def __init__(self, ints: Sequence[int], reach: int = 0):
+        self.lo = lo = min(min(ints), reach)
+        hi = max(max(ints), reach)
         self.m = len(ints).bit_length() - 1
         size = ((hi - lo).bit_length() + 9) // 8
         self.width = 8 * size
@@ -154,30 +160,31 @@ class _CoreLanes(_Lanes):
     """Caps ``c[k]``, k < 2^n, tested against subset sums of weight vectors.
 
     Lane k stands for the subset of weight positions with bitmask k. The
-    caller guarantees that the caps and every subset sum lie in
-    ``[lo, hi]``, which is the bound of :class:`_Lanes`.
+    test is the lower core's; the upper core's is this one on negated caps
+    and weights. ``caps[0] = 0``, and each weight vector shares one sign and
+    sums to ``total``, so every subset sum lies between 0 and ``total`` and
+    the lanes span the caps and ``total``. Negative weights stay exact: every
+    lane of the doubled sums holds a subset sum minus ``lo``, in
+    ``[0, hi - lo]``, so no carry or borrow crosses a lane.
     """
 
-    def __init__(self, caps: Sequence[int], lo: int, hi: int, lower: bool):
-        super().__init__(caps, lo, hi)
+    def __init__(self, caps: Sequence[int], total: int):
+        super().__init__(caps, total)
         one = (1).to_bytes(self.width // 8, "little")
         # (1 in each of the first 2^i lanes, the shift past them), per i.
         self.doubling = [(_lane_mask(one, i), self.width << i) for i in range(self.m)]
-        self.lower = lower
-        # lower: caps + H per lane, less the sums; upper: the sums plus H - caps.
-        self.bound = self.packed + self.top if lower else self.top - self.packed
-        self.seed = -lo
+        self.bound = self.packed + self.top  # caps + H per lane, less the sums
 
     def first_escape(self, weights: Sequence[int]) -> int | None:
-        """Lowest lane whose subset sum exceeds its cap (lower) or falls below it.
+        """Lowest lane whose subset sum exceeds its cap.
 
         The sums double inside the lanes: the 2^i lanes built so far,
         then the same lanes plus ``weights[i]``, which is bitmask order.
         """
-        s = self.seed
+        s = -self.lo
         for x, (ones, shift) in zip(weights, self.doubling):
             s += (s + x * ones) << shift
-        return self.first_clear(self.bound - s if self.lower else s + self.bound, self.top)
+        return self.first_clear(self.bound - s, self.top)
 
 
 @dataclass(frozen=True)
@@ -205,13 +212,20 @@ class GroundSet:
     def size(self) -> int:
         return len(self.elements)
 
-    @property
+    # Cached, since every checked subset lookup reads it.
+    @cached_property
     def full_mask(self) -> int:
         return (1 << self.size) - 1
 
     def subsets(self) -> range:
         """All subset masks, in increasing bitmask order."""
         return range(1 << self.size)
+
+    def require_mask(self, mask: int) -> None:
+        """Raise ValueError unless mask encodes a subset of this ground set."""
+        if not 0 <= mask <= self.full_mask:
+            raise ValueError(f"subset mask {mask} is outside 0..{self.full_mask} "
+                             f"for a ground set of m = {self.size} elements")
 
     # Built once on first lookup; not a field, so equality and hashing see
     # only the labels.
@@ -313,6 +327,7 @@ class SetFunction:
         return cls(ground, tuple(as_scalar(fn(s)) for s in ground.subsets()))
 
     def __call__(self, mask: int) -> Fraction:
+        self.ground.require_mask(mask)
         if "values" in self.__dict__:
             return self.values[mask]
         ints, den = self.image
@@ -358,8 +373,7 @@ def is_monotone(v: SetFunction) -> tuple[bool, MonotoneWitness | None]:
     increasing bitmask order of A, then index order of i, so it is
     deterministic.
     """
-    vals = v.image[0]
-    lanes = _Lanes(vals, min(vals), max(vals))
+    lanes = _Lanes(v.image[0])
     p = lanes.packed
     best = None
     for i in range(v.ground.size):
@@ -383,22 +397,18 @@ def require_monotone(v: SetFunction, what: str, error: type = NotMonotone) -> No
                     f"v decreases from {{{small}}} to {{{large}}}")
 
 
-def _exchange_violation(v: SetFunction, submodular: bool) -> ExchangeWitness | None:
-    # v(A|i) + v(A|j) >= v(A|i|j) + v(A) compares the step by i at A with
-    # the step by i at A|j; the first triple is the least (A, i, j).
-    vals = v.image[0]
-    lanes = _Lanes(vals, min(vals), max(vals))
-    m = v.ground.size
+def _exchange_violation(vals: Sequence[int]) -> ExchangeWitness | None:
+    # The least (A, i, j) with v(A|i) + v(A|j) < v(A|i|j) + v(A): the step
+    # by i at A falls below the step by i at A|j.
+    lanes = _Lanes(vals)
+    m = lanes.m
     avoiding = [lanes.avoiding(i) for i in range(m)]
     best = None
     for i in range(m):
         step = lanes.steps(i)
-        # step + top - after (submodular) or after + top - step, per pair j.
-        lifted = step + lanes.top if submodular else lanes.top - step
+        lifted = step + lanes.top  # step + top - after, per pair j
         for j in range(i + 1, m):
-            after = lanes.shift(step, j)
-            x = lifted - after if submodular else after + lifted
-            k = lanes.first_clear(x, avoiding[i] & avoiding[j])
+            k = lanes.first_clear(lifted - lanes.shift(step, j), avoiding[i] & avoiding[j])
             if k is not None and (best is None or k < best[0]):
                 best = k, i, j
                 if k == 0:  # no later pair can have an earlier lane
@@ -408,13 +418,13 @@ def _exchange_violation(v: SetFunction, submodular: bool) -> ExchangeWitness | N
 
 def is_submodular(v: SetFunction) -> tuple[bool, ExchangeWitness | None]:
     """Decide submodularity via the local exchange test; first witness on failure."""
-    w = _exchange_violation(v, submodular=True)
+    w = _exchange_violation(v.image[0])
     return w is None, w
 
 
 def is_supermodular(v: SetFunction) -> tuple[bool, ExchangeWitness | None]:
-    """Mirror of :func:`is_submodular` with the reversed inequality."""
-    w = _exchange_violation(v, submodular=False)
+    """Mirror of :func:`is_submodular`: v is supermodular iff -v is submodular."""
+    w = _exchange_violation([-x for x in v.image[0]])
     return w is None, w
 
 
@@ -431,6 +441,7 @@ def dual_transform(v: SetFunction) -> SetFunction:
 
 def is_null_set(v: SetFunction, n_mask: int) -> bool:
     """True iff v(N|A) = v(~N&A) = v(A) for every subset A."""
+    v.ground.require_mask(n_mask)
     vals = v.image[0]  # canonical, so equal values have equal ints
     full = v.ground.full_mask
     comp = full ^ n_mask

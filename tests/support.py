@@ -335,12 +335,14 @@ def brute_route_b(
 def brute_route_c(
     v: SetFunction, maximize: bool
 ) -> tuple[bool, tuple[int, Chain] | None]:
-    """Route (c) with one lattice-path DP per subset, in bitmask order."""
-    values, _den = int_image(v.values)
+    """Route (c) with one lattice-path DP per subset, in bitmask order; the
+    minimum side is the DP's maximum for -v, which has the same chains."""
+    sign = 1 if maximize else -1
+    values = [sign * x for x in int_image(v.values)[0]]
     m = v.ground.size
     for a in v.ground.subsets():
         weights = indicator(a, m)
-        tails = chain_opt_tails(values, weights, maximize)
+        tails = chain_opt_tails(values, weights)
         if tails[0] != values[a]:
             return False, (a, Chain(v.ground, lex_first_order(values, weights, tails)))
     return True, None
@@ -396,7 +398,7 @@ def brute_recursion_step(v: SetFunction) -> SetFunction:
     values, den = int_image(v.values)
     m = v.ground.size
     return SetFunction(v.ground, tuple(
-        Fraction(chain_opt_tails(values, indicator(a, m), True)[0], den)
+        Fraction(chain_opt_tails(values, indicator(a, m))[0], den)
         for a in v.ground.subsets()
     ))
 

@@ -261,8 +261,10 @@ class TestRoutesAtLaneEdges:
                 continue
             values, _ = int_image(v.values)
             for lower in (True, False):
-                b = _extremal_measures_in_core(v.ground, values, lower)
-                d = _local_candidates_in_core(values, lower)
+                # The upper-core side is the lower-core route run on -v.
+                image = values if lower else [-x for x in values]
+                b = _extremal_measures_in_core(v.ground, image)
+                d = _local_candidates_in_core(image)
                 truth = (is_submodular if lower else is_supermodular)(v)[0]
                 assert b[0] == d[0] == truth
                 if m <= 5 or not truth:

@@ -1,5 +1,6 @@
 """Source-level guards: where the library enumerates permutations, what it
-imports, where the lane kernel lives and where the CLI maps errors."""
+imports, where the lane kernel lives, which side the loop kernels compute
+and where the CLI maps errors."""
 
 import ast
 import re
@@ -151,3 +152,45 @@ def test_lawinv_loops_read_the_integer_image():
                     if called in per_iteration:
                         sites.add((name, called))
     assert sites == set()
+
+
+# The loop kernels compute the submodular, maximum and lower-core side only;
+# each mirror negates the integer image at its public edge.
+ONE_SIDED_KERNELS = {
+    ("setfn.py", "_exchange_violation"), ("setfn.py", "_Lanes"),
+    ("setfn.py", "_CoreLanes"), ("chains.py", "chain_opt_tails"),
+    ("chains.py", "chain_opt_all"), ("chains.py", "chain_opt"),
+    ("represent.py", "_extremal_measures_in_core"),
+    ("represent.py", "_sup_matches_everywhere"),
+    ("represent.py", "_local_candidates_in_core"),
+}
+SIDES = {"lower", "maximize", "submodular"}
+
+
+def test_kernels_take_no_side():
+    found, sided = set(), set()
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if (isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                    and (path.name, node.name) in ONE_SIDED_KERNELS):
+                found.add((path.name, node.name))
+                names = {n.arg for n in ast.walk(node) if isinstance(n, ast.arg)}
+                names |= {n.id for n in ast.walk(node) if isinstance(n, ast.Name)}
+                names |= {n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute)}
+                sided |= {(path.name, node.name, s) for s in names & SIDES}
+    assert found == ONE_SIDED_KERNELS
+    assert sided == set()
+
+
+def test_lanes_work_out_their_own_bounds():
+    # _Lanes(ints) packs the range of ints; _CoreLanes(caps, total) the
+    # range of the caps and the total its weight vectors sum to.
+    arity = {"_Lanes": 1, "_CoreLanes": 2}
+    calls = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                    and node.func.id in arity):
+                calls.append((path.name, node.func.id, len(node.args), len(node.keywords)))
+    assert {name for _, name, _, _ in calls} == set(arity)
+    assert [c for c in calls if (c[2], c[3]) != (arity[c[1]], 0)] == []
