@@ -151,21 +151,19 @@ def extremal_measure(v: SetFunction, chain: Chain) -> DiscreteMeasure:
     """
     if v.ground != chain.ground:
         raise ValueError("set function and chain live on different ground sets")
-    vals = v.values
-    weights = [Fraction(0)] * v.ground.size
-    prev = Fraction(0)
-    mask = 0
+    ints, den = v.image
+    weights = [0] * v.ground.size
+    prev = mask = 0
     for i in chain.order:
         mask |= 1 << i
-        cur = vals[mask]
-        inc = cur - prev
+        inc = Fraction(ints[mask] - prev, den)
         if inc < 0:
             raise NonMonotoneAlongChain(
                 f"negative increment {inc} at element "
                 f"{v.ground.elements[i]!r} along chain {chain.label_order()}"
             )
         weights[i] = inc
-        prev = cur
+        prev = ints[mask]
     return DiscreteMeasure(v.ground, tuple(weights))
 
 
@@ -186,6 +184,7 @@ def insert_into_chain(chain: Chain, mask: int) -> Chain:
     is the canonical maximal refinement; inserting the empty set, the
     full set, or an existing prefix returns an equal chain.
     """
+    chain.ground.require_mask(mask)
     inside = [i for i in chain.order if mask >> i & 1]
     outside = [i for i in chain.order if not mask >> i & 1]
     return Chain(chain.ground, tuple(inside + outside))
@@ -196,6 +195,8 @@ def insert_nested_pair(chain: Chain, a_mask: int, b_mask: int) -> Chain:
 
     The two insertion orders commute, so the result is well defined.
     """
+    chain.ground.require_mask(a_mask)
+    chain.ground.require_mask(b_mask)
     if b_mask & ~a_mask:
         raise NotNested(
             f"{chain.ground.subset_key(b_mask) or '{}'} is not contained in "

@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .chains import Chain, chain_opt, require_sweepable
+from .chains import Chain, chain_opt, indicator, require_sweepable
 from .errors import NegativeValues, NonMonotoneAlongChain, NotSubmodular, ZeroTotalMass
 from .setfn import (GroundSet, ScalarLike, SetFunction, as_scalar, is_submodular,
                     require_monotone)
@@ -46,10 +46,8 @@ class SimpleFunction:
 
     @classmethod
     def indicator(cls, ground: GroundSet, mask: int) -> "SimpleFunction":
-        return cls(
-            ground,
-            tuple(Fraction(1 if mask >> i & 1 else 0) for i in range(ground.size)),
-        )
+        ground.require_mask(mask)
+        return cls(ground, indicator(mask, ground.size))
 
     def __call__(self, i: int) -> Fraction:
         return self.values[i]

@@ -116,7 +116,21 @@ class WeightedSpace:
 
     @cached_property
     def _spectral_measure(self) -> SpectralMeasure:
-        return _kusuoka(self)
+        """:func:`kusuoka_measure`, built once per space.
+
+        Each positive piece of the density's survival function gives one
+        atom: its level is the survival over nu(full), and its mass the
+        piece's area over mu(full), so the atoms come in the order of the
+        pieces (the survival values are distinct, as the levels increase
+        strictly).
+        """
+        img = self._density_distribution._image
+        mu = self.mu_total
+        top, scale = img.lvs[-1], img.den * mu.numerator
+        return SpectralMeasure(tuple(
+            (Fraction(s, top), Fraction(s * n * mu.denominator, scale))
+            for s, n in zip(img.surv, img.lengths)
+        ))
 
     def density_function(self) -> SimpleFunction:
         return SimpleFunction(self.ground, self.density)
@@ -246,26 +260,20 @@ class StepDistribution:
         """Constant pieces (start, end, total - F) with positive survival.
 
         The survival is zero from the last breakpoint on, so the finite
-        list captures the whole mass of any survival-type integral.
+        list captures the whole mass of any survival-type integral. The
+        pieces are the image's, which run contiguously from 0.
         """
-        segs = []
-        if self.breakpoints[0] > 0:
-            segs.append((ZERO, self.breakpoints[0], self.total))
-        for j in range(len(self.breakpoints) - 1):
-            surv = self.total - self.levels[j]
-            if surv > 0:
-                segs.append((self.breakpoints[j], self.breakpoints[j + 1], surv))
-        return segs
+        img = self._image
+        return [(Fraction(a, img.bden), Fraction(b, img.bden), Fraction(s, img.lden))
+                for a, b, s in zip(img.reach, img.reach[1:], img.surv)]
 
     def quantile_segments(self) -> list[tuple[Fraction, Fraction, Fraction]]:
         """Constant pieces (lo, hi, z) of the right-continuous inverse on [0, total)."""
-        segs = []
-        prev = ZERO
-        for bp, lv in zip(self.breakpoints, self.levels):
-            if lv > prev:
-                segs.append((prev, lv, bp))
-                prev = lv
-        return segs
+        img = self._image
+        # A piece per level that rises above every level before it and 0.
+        return [(Fraction(lo, img.lden), Fraction(hi, img.lden), Fraction(b, img.bden))
+                for b, hi, lo in zip(img.bps, img.lvs, accumulate([0] + img.lvs, max))
+                if hi > lo]
 
     def quantile(self, beta: ScalarLike) -> Fraction:
         """Right-continuous inverse: the smallest z with F(z) > beta."""
@@ -303,7 +311,9 @@ def distribution_of_function(
 
 
 def _function_image(w: WeightedSpace, f: SimpleFunction) -> _StepImage:
-    """Image of f's distribution under w's nu."""
+    """Image of f's distribution under w's nu; f must live on w's ground set."""
+    if f.ground != w.ground:
+        raise ValueError("integrand lives on a different ground set")
     return _distribution_image(f.values, w._nu_image)
 
 
@@ -383,8 +393,6 @@ def v_mu_via_quantile(w: WeightedSpace, a_mask: int) -> Fraction:
 
 def v_mu_integral(w: WeightedSpace, f: SimpleFunction) -> Fraction:
     """Choquet integral of f against the law-invariant function, by layers."""
-    if f.ground != w.ground:
-        raise ValueError("integrand lives on a different ground set")
     return _layer_integral(w._density_distribution._image, _function_image(w, f))
 
 
@@ -409,12 +417,10 @@ def choquet_product_formula(w: WeightedSpace, f: SimpleFunction) -> Fraction:
     Integrates quantile(density) * quantile(f) over [0, nu(full)); equals
     the layer-cake integral of f against the law-invariant function.
     """
-    if f.ground != w.ground:
-        raise ValueError("integrand lives on a different ground set")
+    g = _function_image(w, f)
     if not f.is_nonnegative():
         raise NegativeValues("product formula requires f >= 0")
     d = w._density_distribution._image
-    g = _function_image(w, f)
     # Both inverses are constant between consecutive levels, which share
     # the nu image's denominator and end at nu(full): merge the two lists.
     total = lo = i = j = 0
@@ -640,24 +646,6 @@ def kusuoka_measure(w: WeightedSpace) -> SpectralMeasure:
     return w._spectral_measure
 
 
-def _kusuoka(w: WeightedSpace) -> SpectralMeasure:
-    """:func:`kusuoka_measure`, built once per space.
-
-    Each positive piece of the density's survival function gives one
-    atom: its level is the survival over nu(full), and its mass the
-    piece's area over mu(full), so the atoms come in the order of the
-    pieces (the survival values are distinct, as the levels increase
-    strictly).
-    """
-    img = w._density_distribution._image
-    mu = w.mu_total
-    top, scale = img.lvs[-1], img.den * mu.numerator
-    return SpectralMeasure(tuple(
-        (Fraction(s, top), Fraction(s * n * mu.denominator, scale))
-        for s, n in zip(img.surv, img.lengths)
-    ))
-
-
 def cvar_component(
     w: WeightedSpace, f: SimpleFunction, alpha: ScalarLike
 ) -> Fraction:
@@ -669,12 +657,18 @@ def cvar_component(
     alpha = as_scalar(alpha)
     if not 0 < alpha <= 1:
         raise AlphaOutOfRange(f"alpha must lie in (0, 1], got {alpha}")
-    if f.ground != w.ground:
-        raise ValueError("integrand lives on a different ground set")
+    g = _function_image(w, f)
     if not f.is_nonnegative():
         raise NegativeValues("tail component requires f >= 0")
     cap = alpha * w.nu.total
-    return w.mu_total / cap * _survival_min_integral(_function_image(w, f), cap)
+    return _tail_component(w.mu_total, g, cap.numerator, cap.denominator)[1]
+
+
+def _tail_component(mu: Fraction, g: _StepImage, cn: int, cd: int) -> tuple[int, Fraction]:
+    """f's survival integral at the cap cn / cd, over ``cd * g.den``, and
+    mu(full) / cap times it: f's tail component at that cap."""
+    area = g.survival_min(cn, cd)
+    return area, Fraction(mu.numerator * area, mu.denominator * cn * g.den)
 
 
 @dataclass(frozen=True)
@@ -696,22 +690,19 @@ def spectral_decomposition_check(
     """Check v(f) = sum of mass * tail component over the spectral atoms."""
     if not f.is_nonnegative():
         raise NegativeValues("spectral decomposition requires f >= 0")
-    if f.ground != w.ground:
-        raise ValueError("integrand lives on a different ground set")
     d, g = w._density_distribution._image, _function_image(w, f)
     direct = _layer_integral(d, g)
     spectral = kusuoka_measure(w)
     mu = w.mu_total
-    # Atom p (see _kusuoka) sits at the cap surv[p] / lden of the density's
-    # survival; its tail component is mu(full) / cap times the survival
-    # integral of f at that cap, and mass times component is lengths[p]
-    # times that integral, so the sum has one integer numerator.
+    # Atom p (see WeightedSpace._spectral_measure) sits at the cap
+    # surv[p] / lden of the density's survival, and mass times component is
+    # lengths[p] times f's survival integral there: one integer numerator.
     components = []
     total = 0
     for (alpha, mass), s, n in zip(spectral.atoms, d.surv, d.lengths):
-        area = g.survival_min(s, d.lden)
+        area, component = _tail_component(mu, g, s, d.lden)
         total += n * area
-        components.append((alpha, mass, Fraction(mu.numerator * area, mu.denominator * s * g.den)))
+        components.append((alpha, mass, component))
     acc = Fraction(total, d.den * g.den)
     report = SpectralDecompositionReport(direct, acc, tuple(components))
     if not report.agrees:

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 
 from .chains import chain_opt_all, require_sweepable
 from .errors import InternalConsistencyError, MaxStepsExceeded, ProfileNotMonotone
@@ -137,16 +138,9 @@ def symmetric_step(
     step; the result is submodular, hence the recursion ends here. The
     submodularity is re-checked and a failure would be a bug.
     """
-    ground = ground or GroundSet.of_size(profile.size)
-    if ground.size != profile.size:
-        raise ValueError("ground set size does not match the profile")
     inc = sorted(profile.increments(), reverse=True)
-    running = [Fraction(0)]
-    for d in inc:
-        running.append(running[-1] + d)
-    out = SetFunction(
-        ground, tuple(running[bin(s).count('1')] for s in ground.subsets())
-    )
+    running = CardinalityProfile(tuple(accumulate(inc, initial=Fraction(0))))
+    out = running.to_set_function(ground)
     ok, _ = is_submodular(out)
     if not ok:
         raise InternalConsistencyError(

@@ -21,11 +21,12 @@ built once per function: from Fractions by the scalar constructor, or
 handed over as integers through :meth:`SetFunction.from_image` by the
 producers (the complement transform, the recursion step, the
 law-invariant function, measures and the CLI parser). Every predicate and
-transform reads it; ``values`` is materialised only on first read, one
-Fraction per distinct value, and then kept. On the 2-vCPU VM of the
-figures below, that first read costs about 40 ms at m = 14 when all 2^14
-values are distinct and about 2 ms for a law-invariant function (136
-distinct values), against about 1.3 ms for :func:`dual_transform`.
+transform reads it, and ``v(mask)`` builds only the Fraction it returns;
+``values`` is materialised from it on first read, however the function
+was built, one Fraction per distinct value, and then kept. On the 2-vCPU
+VM of the figures below, that first read costs about 40 ms at m = 14 when
+all 2^14 values are distinct and about 2 ms for a law-invariant function
+(136 distinct values), against about 1.3 ms for :func:`dual_transform`.
 
 Both modularity predicates are decided through the equivalent local
 exchange test over triples ``(A, i, j)`` with ``i != j`` outside ``A``,
@@ -44,12 +45,11 @@ core checks of :mod:`chainrep.represent` three per telescoped measure
 (:class:`_CoreLanes`, the lower-core side; the upper core is the lower
 core of -v). Witnesses are the lowest failing lane, so they are
 the same as those of the literal scans in bitmask order. On a 2-vCPU VM,
-:func:`is_submodular` on a submodular input at m = 14 takes about 15 ms,
-against about 150 ms for a scan per triple. The trade-off: a scan stops
-early only when a violation sits at the empty set (lane 0), so another
-failing input costs as much as a passing one, and even an early stop pays
-for packing the image: a generic input at m = 8 takes about 0.18 ms,
-against 0.1 ms for a scan that stops at its first triple.
+:func:`is_submodular` on a submodular input at m = 14 takes about 15 ms.
+The trade-off: a scan stops early only when a violation sits at the empty
+set (lane 0), so another failing input costs as much as a passing one,
+and even an early stop pays for packing the image: a generic input at
+m = 8 takes about 0.18 ms.
 """
 
 from __future__ import annotations
@@ -250,6 +250,7 @@ class GroundSet:
         return mask
 
     def labels_of(self, mask: int) -> tuple[str, ...]:
+        self.require_mask(mask)
         return tuple(
             lab for i, lab in enumerate(self.elements) if mask >> i & 1
         )
@@ -286,9 +287,7 @@ class SetFunction:
     image: tuple[tuple[int, ...], int]
 
     def __init__(self, ground: GroundSet, values: Iterable[ScalarLike]):
-        vals = tuple(as_scalar(x) for x in values)
-        self._store(ground, *int_image(vals))
-        self.__dict__["values"] = vals
+        self._store(ground, *int_image([as_scalar(x) for x in values]))
 
     @classmethod
     def from_image(
@@ -328,8 +327,6 @@ class SetFunction:
 
     def __call__(self, mask: int) -> Fraction:
         self.ground.require_mask(mask)
-        if "values" in self.__dict__:
-            return self.values[mask]
         ints, den = self.image
         return Fraction(ints[mask], den)
 

@@ -5,12 +5,16 @@ from fractions import Fraction
 import pytest
 
 from chainrep import (
+    Chain,
     DiscreteMeasure,
     GroundSet,
     SetFunction,
+    SimpleFunction,
     WeightedSpace,
     distribution_of_function,
     inf_over_chains,
+    insert_into_chain,
+    insert_nested_pair,
     is_null_set,
     iterate_to_fixed_point,
     local_core_attainment,
@@ -24,6 +28,7 @@ GROUND = GroundSet.of_size(M)
 V = SetFunction.from_callable(GROUND, lambda mask: min(bin(mask).count("1"), 2))
 SPACE = WeightedSpace.counting(GROUND, (Fraction(1), Fraction(2), Fraction(3)))
 NU = DiscreteMeasure(GROUND, (1, 2, 3))
+CHAIN = Chain.identity(GROUND)
 
 # Each takes one subset mask of the m = 3 ground set.
 MASK_TAKERS = {
@@ -36,6 +41,12 @@ MASK_TAKERS = {
     "is_null_set": lambda mask: is_null_set(V, mask),
     "v_mu": lambda mask: v_mu(SPACE, mask),
     "v_mu_via_quantile": lambda mask: v_mu_via_quantile(SPACE, mask),
+    "SimpleFunction.indicator": lambda mask: SimpleFunction.indicator(GROUND, mask),
+    "insert_into_chain": lambda mask: insert_into_chain(CHAIN, mask),
+    "insert_nested_pair A": lambda mask: insert_nested_pair(CHAIN, mask, 0),
+    "insert_nested_pair B": lambda mask: insert_nested_pair(CHAIN, GROUND.full_mask, mask),
+    "GroundSet.labels_of": lambda mask: GROUND.labels_of(mask),
+    "GroundSet.subset_key": lambda mask: GROUND.subset_key(mask),
 }
 
 

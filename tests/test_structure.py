@@ -194,3 +194,36 @@ def test_lanes_work_out_their_own_bounds():
                 calls.append((path.name, node.func.id, len(node.args), len(node.keywords)))
     assert {name for _, name, _, _ in calls} == set(arity)
     assert [c for c in calls if (c[2], c[3]) != (arity[c[1]], 0)] == []
+
+
+def test_step_distribution_reads_its_image_not_its_fractions():
+    # Survival and quantile pieces are read off the integer image. A loop
+    # over the Fraction breakpoints or levels outside the checks of
+    # __post_init__ is a second copy of what the image already holds.
+    tree = ast.parse((SRC / "lawinv.py").read_text())
+    cls = next(node for node in tree.body
+               if isinstance(node, ast.ClassDef) and node.name == "StepDistribution")
+    methods = {node.name: node for node in cls.body if isinstance(node, ast.FunctionDef)}
+    assert {"__post_init__", "survival_segments", "quantile_segments"} <= set(methods)
+    loops = set()
+    for name, method in methods.items():
+        for node in ast.walk(method):
+            if not isinstance(node, (ast.For, ast.comprehension)):
+                continue
+            loops |= {(name, sub.attr) for sub in ast.walk(node.iter)
+                      if isinstance(sub, ast.Attribute) and sub.attr in {"breakpoints", "levels"}
+                      and isinstance(sub.value, ast.Name) and sub.value.id == "self"}
+    assert {(name, attr) for name, attr in loops if name != "__post_init__"} == set()
+
+
+def test_integrand_ground_is_checked_where_the_image_is_built():
+    # _function_image refuses an integrand on another ground set for every
+    # integral built on f's image. rearrangement_sup reads f's values
+    # directly, and comonotone_attainment refuses before its own hypothesis
+    # checks, so each keeps its own copy.
+    tree = ast.parse((SRC / "lawinv.py").read_text())
+    raising = {node.name for node in tree.body if isinstance(node, ast.FunctionDef)
+               for sub in ast.walk(node)
+               if isinstance(sub, ast.Constant)
+               and sub.value == "integrand lives on a different ground set"}
+    assert raising == {"_function_image", "rearrangement_sup", "comonotone_attainment"}
