@@ -152,6 +152,8 @@ def choquet_sup_representation(
     attaining chain; ordering elements by decreasing f-value always
     attains it; :func:`chainrep.chains.chain_opt` finds it without a sweep.
     """
+    if v.ground != f.ground:
+        raise ValueError("set function and integrand live on different ground sets")
     require_sweepable(v.ground)
     ok, witness = is_submodular(v)
     if not ok:

@@ -115,13 +115,18 @@ def _parse_ground(obj, where: str) -> GroundSet:
         raise DocumentError(f"{where}: {exc}") from exc
 
 
-def parse_set_function_document(obj) -> SetFunction:
-    """Validate and build a set function from a parsed JSON object."""
+def _require_keys_within(obj, keys: set[str]) -> None:
+    """Refuse a document that is not a JSON object or has other top-level keys."""
     if not isinstance(obj, dict):
         raise DocumentError("document must be a JSON object")
-    extra = set(obj) - {"ground_set", "values"}
+    extra = set(obj) - keys
     if extra:
         raise DocumentError(f"unknown top-level keys: {sorted(extra)}")
+
+
+def parse_set_function_document(obj) -> SetFunction:
+    """Validate and build a set function from a parsed JSON object."""
+    _require_keys_within(obj, {"ground_set", "values"})
     if "ground_set" not in obj or "values" not in obj:
         raise DocumentError("document needs 'ground_set' and 'values'")
     ground = _parse_ground(obj["ground_set"], "ground_set")
@@ -164,11 +169,7 @@ def serialize_set_function(v: SetFunction) -> dict:
 
 
 def parse_weighted_space_document(obj) -> WeightedSpace:
-    if not isinstance(obj, dict):
-        raise DocumentError("document must be a JSON object")
-    extra = set(obj) - {"ground_set", "nu", "density"}
-    if extra:
-        raise DocumentError(f"unknown top-level keys: {sorted(extra)}")
+    _require_keys_within(obj, {"ground_set", "nu", "density"})
     for key in ("ground_set", "nu", "density"):
         if key not in obj:
             raise DocumentError(f"weighted-space document needs {key!r}")
@@ -207,7 +208,7 @@ def _load_document(path: str):
 
 
 # Namespace attributes that choose or format a run rather than parametrise it.
-_NOT_PARAMETERS = {"command", "format", "no_persist", "fn"}
+_NOT_PARAMETERS = {"command", "format", "no_persist", "fn", "load"}
 
 
 def _emit(args, payload: dict, table_lines: list[str] | None) -> None:
@@ -488,10 +489,7 @@ def run_command(args) -> int:
         doc = serialize_set_function(subject)
     else:
         doc = _load_document(args.file)
-        if args.command == "spectral":
-            subject = parse_weighted_space_document(doc)
-        else:
-            subject = parse_set_function_document(doc)
+        subject = args.load(doc)
     payload, lines, code = args.fn(args, subject)
     _emit(args, payload, lines)
     _persist(args, doc, payload)
@@ -520,16 +518,18 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument(
         "--no-persist", action="store_true", help="skip the run record"
     )
+    # Every command but repro-table reads a document, by default a set function.
+    document = argparse.ArgumentParser(add_help=False, parents=[common])
+    document.add_argument("file")
+    document.set_defaults(load=parse_set_function_document)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("check", parents=[common],
+    p = sub.add_parser("check", parents=[document],
                        help="monotonicity / submodularity report")
-    p.add_argument("file")
     p.set_defaults(fn=cmd_check)
 
-    p = sub.add_parser("iterate", parents=[common],
+    p = sub.add_parser("iterate", parents=[document],
                        help="run the chain-supremum recursion to its fixed point")
-    p.add_argument("file")
     p.add_argument("--max-steps", type=int, default=None, action=_StepCap)
     p.set_defaults(fn=cmd_iterate)
 
@@ -539,9 +539,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="perturb one expected cell to exercise the diff path")
     p.set_defaults(fn=cmd_repro_table)
 
-    p = sub.add_parser("choquet", parents=[common],
+    p = sub.add_parser("choquet", parents=[document],
                        help="integrate a simple function against the set function")
-    p.add_argument("file")
     p.add_argument("--f", required=True,
                    help="comma-separated rational values, one per element")
     p.add_argument("--risk", action="store_true",
@@ -552,20 +551,17 @@ def build_parser() -> argparse.ArgumentParser:
                    help="with --sup, print the attaining chain")
     p.set_defaults(fn=cmd_choquet)
 
-    p = sub.add_parser("spectral", parents=[common],
+    p = sub.add_parser("spectral", parents=[document],
                        help="distribution, quantiles, spectral atoms, and the three integral routes")
-    p.add_argument("file")
     p.add_argument("--f", required=True)
-    p.set_defaults(fn=cmd_spectral)
+    p.set_defaults(fn=cmd_spectral, load=parse_weighted_space_document)
 
-    p = sub.add_parser("represent", parents=[common],
+    p = sub.add_parser("represent", parents=[document],
                        help="four-way equivalence report")
-    p.add_argument("file")
     p.set_defaults(fn=cmd_represent)
 
-    p = sub.add_parser("dual", parents=[common],
+    p = sub.add_parser("dual", parents=[document],
                        help="emit the complement-transform document")
-    p.add_argument("file")
     p.add_argument("--output", "-o", default=None)
     p.set_defaults(fn=cmd_dual)
     return parser

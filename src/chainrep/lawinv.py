@@ -226,6 +226,8 @@ class StepDistribution:
             raise ValueError("breakpoints must be strictly increasing")
         if any(a > b for a, b in zip(lvs, lvs[1:])):
             raise ValueError("levels must be non-decreasing")
+        if lvs[0] < 0:
+            raise ValueError("levels must be nonnegative")
         if lvs[-1] <= 0:
             raise ValueError("total mass must be positive")
 
@@ -270,9 +272,9 @@ class StepDistribution:
     def quantile_segments(self) -> list[tuple[Fraction, Fraction, Fraction]]:
         """Constant pieces (lo, hi, z) of the right-continuous inverse on [0, total)."""
         img = self._image
-        # A piece per level that rises above every level before it and 0.
+        # A piece per level that rises above the one before it (0 before the first).
         return [(Fraction(lo, img.lden), Fraction(hi, img.lden), Fraction(b, img.bden))
-                for b, hi, lo in zip(img.bps, img.lvs, accumulate([0] + img.lvs, max))
+                for b, hi, lo in zip(img.bps, img.lvs, [0] + img.lvs)
                 if hi > lo]
 
     def quantile(self, beta: ScalarLike) -> Fraction:
@@ -359,15 +361,11 @@ def quantile_integral(
     return Fraction(hn * ld - ln * hd, hd * ld)
 
 
-def _survival_min_integral(img: _StepImage, cap: Fraction) -> Fraction:
-    """Integral over z >= 0 of min(total - F(z), cap)."""
-    cd = cap.denominator
-    return Fraction(img.survival_min(cap.numerator, cd), cd * img.den)
-
-
 def v_mu(w: WeightedSpace, a_mask: int) -> Fraction:
     """Value at A of the law-invariant function built from the density."""
-    return _survival_min_integral(w._density_distribution._image, w.nu.mass(a_mask))
+    img, cap = w._density_distribution._image, w.nu.mass(a_mask)
+    cd = cap.denominator
+    return Fraction(img.survival_min(cap.numerator, cd), cd * img.den)
 
 
 def v_mu_set_function(w: WeightedSpace) -> SetFunction:
@@ -510,51 +508,43 @@ def rearrangement_sup(
     return Fraction(top, fden * hden * mden), tuple(density)
 
 
-def _check_chain_hypothesis(w: WeightedSpace, strict: bool) -> None:
+def _check_chain_hypothesis(w: WeightedSpace) -> None:
+    """Distinct densities, and every subset nu-mass a level of F (0 included)."""
     if len(set(w.density)) != w.ground.size:
         raise TiedDensities("density values must be pairwise distinct")
-    if strict:
-        if len(set(w.nu.weights)) != 1:
-            raise ChainConditionError(
-                "strict mode requires a uniform reference measure; "
-                "use strict=False for the explicit image check"
-            )
-        return
-    img = w._density_distribution._image
     ints, den = w._nu_image  # the levels' denominator too
-    image_f = set(img.lvs)
-    if img.bps[0] > 0:
-        image_f.add(0)
-    image_nu = set(subset_sums(ints))
-    if not image_nu <= image_f:
-        missing = Fraction(min(image_nu - image_f), den)
+    missing = set(subset_sums(ints)) - {0, *w._density_distribution._image.lvs}
+    if missing:
         raise ChainConditionError(
-            f"distribution image misses the subset mass {missing}; "
+            f"distribution image misses the subset mass {Fraction(min(missing), den)}; "
             "the attainment hypothesis fails"
         )
 
 
 def comonotone_attainment(
-    w: WeightedSpace, f: SimpleFunction, strict: bool = True
+    w: WeightedSpace, f: SimpleFunction
 ) -> tuple[Fraction, Fraction, Fraction]:
     """The three coinciding values for f comonotone with the density.
 
     Returns (Choquet integral of f, integral of f against mu, supremum
-    over the equal-distribution class). Strict mode insists on a uniform
-    reference measure with pairwise distinct densities; the relaxed mode
-    checks the distribution-image hypothesis explicitly and refuses when
-    it fails. The three values are asserted equal.
+    over the equal-distribution class), read off :func:`domination_report`
+    and asserted equal. The hypothesis is checked on the inputs: the
+    densities are pairwise distinct, and every subset nu-mass is a value
+    of the density's distribution function F, 0 (the empty level set)
+    included. With distinct densities that holds exactly when the
+    positive nu-weights are all equal; elements of zero weight are
+    allowed, as they change no mass or integral.
     """
     if f.ground != w.ground:
         raise ValueError("integrand lives on a different ground set")
     if not f.is_nonnegative():
         raise NegativeValues("attainment requires f >= 0")
-    _check_chain_hypothesis(w, strict)
+    _check_chain_hypothesis(w)
     if not comonotone_check(f, w.density_function()):
         raise NotComonotone("f has a crossing pair against the density")
-    choq = v_mu_integral(w, f)
-    paired = w.mu().integral(f.values)
-    sup, _ = rearrangement_sup(w, f)
+    report = domination_report(w, f)
+    choq, paired = report.choquet_value, report.paired_integral
+    sup = report.rearrangement_supremum
     if not choq == paired == sup:
         raise InternalConsistencyError(
             f"attainment failed: choquet={choq}, paired={paired}, sup={sup}"

@@ -68,7 +68,6 @@ from .chains import (
     require_sweepable,
     subset_sums,
 )
-from .errors import NotNested
 from .setfn import (
     GroundSet, SetFunction, _CoreLanes, _exchange_violation, int_image, require_monotone,
 )
@@ -77,16 +76,23 @@ from .setfn import (
 def sup_over_chains(v: SetFunction, a_mask: int) -> tuple[Fraction, Chain]:
     """Maximum over all chains of the telescoped measure of the subset.
 
-    Requires monotone v. Returns the value together with the
-    lexicographically first attaining chain; the maximum dominates v at
-    the subset, with equality everywhere iff v is submodular.
+    Returns the value together with the lexicographically first attaining
+    chain. For monotone v the maximum dominates v at the subset, with
+    equality everywhere iff v is submodular. Any v is answered: for
+    non-monotone v it is the maximum over the signed telescoped measures,
+    where :func:`chainrep.chains.extremal_measure` would refuse a chain
+    with a negative increment.
     """
     v.ground.require_mask(a_mask)
     return chain_opt(v, indicator(a_mask, v.ground.size))
 
 
 def inf_over_chains(v: SetFunction, a_mask: int) -> tuple[Fraction, Chain]:
-    """Minimum counterpart of :func:`sup_over_chains`: the maximum for -v, negated."""
+    """Minimum counterpart of :func:`sup_over_chains`: the maximum for -v, negated.
+
+    Like it, it answers any v, over the signed telescoped measures when v
+    is not monotone.
+    """
     v.ground.require_mask(a_mask)
     value, chain = chain_opt(v, [-x for x in indicator(a_mask, v.ground.size)])
     return -value, chain
@@ -149,10 +155,6 @@ class LocalCoreReport:
 def local_core_attainment(
     v: SetFunction, a_mask: int, b_mask: int, lower: bool = True
 ) -> LocalCoreReport:
-    v.ground.require_mask(a_mask)
-    v.ground.require_mask(b_mask)
-    if b_mask & ~a_mask:
-        raise NotNested("B must be contained in A")
     chain = insert_nested_pair(Chain.identity(v.ground), a_mask, b_mask)
     mu = extremal_measure(v, chain)
     restricted = DiscreteMeasure(

@@ -1,4 +1,13 @@
+import os
+
 import pytest
+from hypothesis import settings
+
+# CI runs replay the same examples, so a red run can be reproduced locally
+# with CI=1.
+settings.register_profile("ci", derandomize=True, deadline=None)
+if os.environ.get("CI"):
+    settings.load_profile("ci")
 
 
 @pytest.fixture(autouse=True)

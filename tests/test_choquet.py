@@ -197,6 +197,15 @@ class TestChoquetSupRepresentation:
         with pytest.raises(GroundSetTooLarge):
             choquet_sup_representation(v, SimpleFunction.constant(g(10), 1))
 
+    def test_refuses_an_integrand_on_another_ground_set(self):
+        # The same refusal as choquet's, not a chain of the wrong ground set.
+        v = SetFunction.from_callable(GroundSet(("1", "2")), lambda s: 2 * bin(s).count("1"))
+        f = SimpleFunction(GroundSet(("a", "b")), (Fraction(1), Fraction(1)))
+        for integral in (choquet, choquet_sup_representation):
+            with pytest.raises(ValueError, match="^set function and integrand live on "
+                                                 "different ground sets$"):
+                integral(v, f)
+
     def test_rejects_non_monotone_submodular(self):
         v = SetFunction(g(2), (Fraction(0), Fraction(2), Fraction(1), Fraction(1)))
         with pytest.raises(NonMonotoneAlongChain):

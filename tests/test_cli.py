@@ -1,16 +1,21 @@
 """Document round-trips, command behavior, exit codes, persistence."""
 
+import contextlib
+import io
 import json
 import random
 import sys
+import tempfile
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from chainrep import GroundSet, SetFunction
 from chainrep.cli import (
     EXIT_INPUT,
+    EXIT_INTERNAL,
     EXIT_NEGATIVE,
     EXIT_OK,
     EXIT_STEP_CAP,
@@ -503,3 +508,128 @@ class TestPersistence:
         record, = store.glob("*/run-*.json")
         want = {k: paths.get(v, v) for k, v in parameters.items()}
         assert json.loads(record.read_text())["parameters"] == want
+
+
+# Inputs for the exit-code contract: valid documents with m <= 5, each
+# kind of malformation the parsers refuse, and every command and flag.
+BAD_RATIONALS = ("1.5", "x", "1/0", "", "3/-4", "\u0661", 7, None)
+COMMANDS = ("check", "iterate", "repro-table", "choquet", "spectral", "represent", "dual")
+
+
+def rationals(lo, hi):
+    return st.builds(lambda n, d: f"{n}/{d}" if d > 1 else str(n),
+                     st.integers(lo, hi), st.integers(1, 3))
+
+
+@st.composite
+def set_function_documents(draw, m):
+    labels = [str(i + 1) for i in range(m)]
+    # Increments of -1, where allowed, make the document non-monotone.
+    lo = draw(st.sampled_from((0, 0, -1)))
+    incs = draw(st.lists(st.integers(lo, 3), min_size=1 << m, max_size=1 << m))
+    den = draw(st.integers(1, 3))
+    vals = [0] * (1 << m)
+    for s in range(1, 1 << m):
+        vals[s] = max(vals[s & ~(1 << i)] for i in range(m) if s >> i & 1) + incs[s]
+    keys = [",".join(lab for i, lab in enumerate(labels) if s >> i & 1) for s in range(1 << m)]
+    values = {k: f"{x}/{den}" for k, x in zip(keys, vals)}
+    key = draw(st.sampled_from(keys))
+    fault = draw(st.sampled_from(("none",) * 8 + ("bad-rational", "missing-subset",
+                                                  "duplicate-subset", "nonzero-empty")))
+    if fault == "bad-rational":
+        values[key] = draw(st.sampled_from(BAD_RATIONALS))
+    elif fault == "missing-subset":
+        del values[key]
+    elif fault == "duplicate-subset":
+        labs = key.split(",") if key else labels[:1]
+        # Reversed, a key names its subset again; a single label repeats.
+        values[",".join(labs[::-1] if len(labs) > 1 else labs * 2)] = "1"
+    elif fault == "nonzero-empty":
+        values[""] = "1"
+    return {"ground_set": labels, "values": values}
+
+
+@st.composite
+def weighted_space_documents(draw, m):
+    # Zero and negative weights and densities, where allowed.
+    lo_nu, lo_density = draw(st.sampled_from(((1, 0), (0, 0), (-1, -1))))
+    doc = {"ground_set": [str(i + 1) for i in range(m)],
+           "nu": draw(st.lists(rationals(lo_nu, 3), min_size=m, max_size=m)),
+           "density": draw(st.lists(rationals(lo_density, 6), min_size=m, max_size=m))}
+    name = draw(st.sampled_from(("nu", "density")))
+    fault = draw(st.sampled_from(("none",) * 4 + ("bad-rational", "wrong-length")))
+    if fault == "bad-rational":
+        doc[name][draw(st.integers(0, m - 1))] = draw(st.sampled_from(BAD_RATIONALS))
+    elif fault == "wrong-length":
+        doc[name].append("1")
+    return doc
+
+
+@st.composite
+def document_texts(draw, doc):
+    fault = draw(st.sampled_from(("none",) * 10 + (
+        "extra-key", "missing-key", "non-object", "bad-json", "bad-ground")))
+    if fault == "extra-key":
+        doc["extra"] = 1
+    elif fault == "missing-key":
+        del doc[draw(st.sampled_from(sorted(doc)))]
+    elif fault == "non-object":
+        doc = draw(st.sampled_from(([], "doc", 3, None, [doc])))
+    elif fault == "bad-json":
+        return json.dumps(doc)[:-1]
+    elif fault == "bad-ground":
+        doc["ground_set"] = draw(st.sampled_from((["1", "1"], ["", "2"], ["1,2"], [1], "12")))
+    return json.dumps(doc)
+
+
+@st.composite
+def f_args(draw, m):
+    n = draw(st.sampled_from((m,) * 8 + (m - 1, m + 1)))
+    parts = draw(st.lists(rationals(0, 5), min_size=n, max_size=n))
+    if parts and draw(st.booleans()):
+        parts[draw(st.integers(0, n - 1))] = draw(st.sampled_from(("-1", "-2/3", "x", "")))
+    return ",".join(parts)
+
+
+@st.composite
+def cli_cases(draw):
+    """(document text, argv with DOC and OUT standing for two paths)."""
+    m = draw(st.integers(1, 5))
+    command = draw(st.sampled_from(COMMANDS))
+    # Mostly the document kind the command reads, sometimes the other one.
+    weighted = (command == "spectral") != (draw(st.integers(0, 9)) == 0)
+    doc = draw(weighted_space_documents(m) if weighted else set_function_documents(m))
+    argv = [command] if command == "repro-table" else [command, "DOC"]
+    argv += ["--format", draw(st.sampled_from(("table", "json")))]
+    if draw(st.booleans()):
+        argv.append("--no-persist")
+    if command in ("choquet", "spectral") and draw(st.integers(0, 9)):
+        argv.append(f"--f={draw(f_args(m))}")  # "--f -1,2" would read -1,2 as a flag
+    if command == "choquet":
+        argv += [flag for flag in ("--sup", "--risk", "--witness") if draw(st.booleans())]
+    if command == "iterate" and draw(st.booleans()):
+        argv += ["--max-steps", str(draw(st.integers(-1, 3)))]
+    if command == "dual" and draw(st.booleans()):
+        argv += ["-o", "OUT"]
+    if command == "repro-table" and draw(st.booleans()):
+        argv.append("--self-test")
+    return draw(document_texts(doc)), argv
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=cli_cases())
+def test_every_input_exits_with_a_contract_code(case):
+    text, argv = case
+    with tempfile.TemporaryDirectory() as tmp:
+        doc = Path(tmp) / "doc.json"
+        doc.write_text(text)
+        argv = [{"DOC": str(doc), "OUT": str(Path(tmp) / "out.json")}.get(a, a)
+                for a in argv]
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+    assert code in {EXIT_OK, EXIT_NEGATIVE, EXIT_INPUT, EXIT_STEP_CAP, EXIT_INTERNAL}
+    assert "Traceback" not in err.getvalue()

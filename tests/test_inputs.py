@@ -10,6 +10,7 @@ from chainrep import (
     GroundSet,
     SetFunction,
     SimpleFunction,
+    StepDistribution,
     WeightedSpace,
     distribution_of_function,
     inf_over_chains,
@@ -66,3 +67,9 @@ def test_distribution_of_function_needs_one_value_per_element(n):
 def test_iterate_refuses_a_negative_step_cap():
     with pytest.raises(ValueError, match="max_steps must be nonnegative, got -2"):
         iterate_to_fixed_point(V, max_steps=-2)
+
+
+def test_step_distribution_refuses_a_negative_level():
+    # Else value_at(0) would be -1 and the survival 3 above a total mass of 2.
+    with pytest.raises(ValueError, match="^levels must be nonnegative$"):
+        StepDistribution((0, 1), (-1, 2))

@@ -345,7 +345,7 @@ class TestComonotoneAttainment:
         with pytest.raises(NotComonotone):
             comonotone_attainment(w, fn(w.ground, (5, 0)))
 
-    def test_strict_mode_requires_uniform_reference(self):
+    def test_image_missing_a_subset_mass_refused(self):
         ground = g(2)
         nu = DiscreteMeasure(ground, (Fraction(1), Fraction(2)))
         w = WeightedSpace(ground, nu, (Fraction(1), Fraction(2)))
@@ -359,7 +359,7 @@ class TestComonotoneAttainment:
         # but nu's subset masses include 2, which F never takes.
         w = WeightedSpace(ground, nu, (Fraction(2), Fraction(0)))
         with pytest.raises(ChainConditionError):
-            comonotone_attainment(w, fn(ground, (1, 0)), strict=False)
+            comonotone_attainment(w, fn(ground, (1, 0)))
 
     def test_relaxed_mode_accepts_matching_image(self):
         ground = g(2)
@@ -368,7 +368,7 @@ class TestComonotoneAttainment:
         # {0, 1, 3}... still missing 2 -> build a genuinely valid one.
         nu2 = DiscreteMeasure(ground, (Fraction(1), Fraction(1)))
         w = WeightedSpace(ground, nu2, (Fraction(3), Fraction(1)))
-        triple = comonotone_attainment(w, fn(ground, (2, 0)), strict=False)
+        triple = comonotone_attainment(w, fn(ground, (2, 0)))
         assert triple[0] == triple[1] == triple[2] == 6
 
     def test_random_aligned_instances(self):
@@ -379,6 +379,34 @@ class TestComonotoneAttainment:
             f = support.comonotone_partner(rng, w)
             a, b, c = comonotone_attainment(w, f)
             assert a == b == c
+
+    def test_uniform_reference_with_a_zero_density(self):
+        # F(0) = 1 already, and the empty level set carries nu-mass 0.
+        w = counting_space((0, 1))
+        assert comonotone_attainment(w, fn(w.ground, (0, 2))) == (Fraction(2),) * 3
+
+    def test_zero_weight_elements(self):
+        ground = g(3)
+        w = WeightedSpace(ground, DiscreteMeasure(ground, (1, 1, 0)), (1, 2, 3))
+        assert comonotone_attainment(w, fn(ground, (1, 2, 5))) == (Fraction(5),) * 3
+        rng = random.Random(8311)
+        zero_weight = 0
+        for _ in range(60):
+            m = rng.randint(1, 6)
+            c = Fraction(rng.randint(1, 3), rng.choice((1, 2)))
+            weights = [rng.choice((0, c)) for _ in range(m)]
+            weights[rng.randrange(m)] = c
+            density = [Fraction(x, rng.choice((1, 3))) for x in rng.sample(range(40), m)]
+            if len(set(density)) != m:
+                continue
+            zero_weight += 0 in weights
+            w = WeightedSpace(g(m), DiscreteMeasure(g(m), tuple(weights)), tuple(density))
+            f = support.comonotone_partner(rng, w)
+            want = support.brute_v_mu_integral(w, f)
+            if m <= 5:
+                assert support.brute_rearrangement_sup(w, f)[0] == want
+            assert comonotone_attainment(w, f) == (want,) * 3
+        assert zero_weight >= 20
 
 
 class TestDomination:

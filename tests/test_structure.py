@@ -227,3 +227,23 @@ def test_integrand_ground_is_checked_where_the_image_is_built():
                if isinstance(sub, ast.Constant)
                and sub.value == "integrand lives on a different ground set"}
     assert raising == {"_function_image", "rearrangement_sup", "comonotone_attainment"}
+
+
+def test_each_command_declares_its_input_once():
+    # build_parser gives every command that reads a document its file and
+    # its load function; run_command branches on no command but repro-table,
+    # which reads none, and calls no document parser by name.
+    tree = ast.parse((SRC / "cli.py").read_text())
+    functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    commands = {node.args[0].value for node in ast.walk(functions["build_parser"])
+                if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "add_parser"}
+    assert len(commands) == 7
+    run = functions["run_command"]
+    assert {node.value for node in ast.walk(run)
+            if isinstance(node, ast.Constant) and node.value in commands} == {"repro-table"}
+    assert {node.id for node in ast.walk(run) if isinstance(node, ast.Name)
+            and node.id.startswith("parse_")} == set()
+    files = [node for node in ast.walk(tree) if isinstance(node, ast.Call)
+             and getattr(node.func, "attr", None) == "add_argument"
+             and [ast.unparse(arg) for arg in node.args] == ["'file'"]]
+    assert len(files) == 1
