@@ -33,16 +33,16 @@ from typing import Iterable, Iterator, Sequence
 from .errors import GroundSetTooLarge, NonMonotoneAlongChain, NotNested
 from .setfn import GroundSet, ScalarLike, SetFunction, as_scalar, int_image
 
-# Permutation sweeps run through m! chains; beyond this they stop being fun.
+# Each costly loop refuses ground sets above its own limit: the m!
+# permutation sweeps above SWEEP_LIMIT, the 3^m all-subsets table above
+# TABLE_LIMIT. The 2^m path DP runs at every size a SetFunction takes.
 SWEEP_LIMIT = 9
+TABLE_LIMIT = 12
 
 
-def require_sweepable(ground: GroundSet) -> None:
-    if ground.size > SWEEP_LIMIT:
-        raise GroundSetTooLarge(
-            f"chain sweeps support at most {SWEEP_LIMIT} elements, "
-            f"got {ground.size}"
-        )
+def _require_size(m: int, limit: int, what: str) -> None:
+    if m > limit:
+        raise GroundSetTooLarge(f"{what}: at most {limit} elements, got {m}")
 
 
 @dataclass(frozen=True)
@@ -168,8 +168,8 @@ def extremal_measure(v: SetFunction, chain: Chain) -> DiscreteMeasure:
 
 
 def all_chains(ground: GroundSet) -> Iterator[Chain]:
-    """All m! maximal chains, in lexicographic permutation order."""
-    require_sweepable(ground)
+    """All m! maximal chains, in lexicographic permutation order; m <= SWEEP_LIMIT."""
+    _require_size(ground.size, SWEEP_LIMIT, "all_chains enumerates m! chains")
     for perm in itertools.permutations(range(ground.size)):
         yield Chain(ground, perm)
 
@@ -244,10 +244,11 @@ def chain_opt_all(values: Sequence[int]) -> list[int]:
     T[S] is indexed by R's bits within the complement of S, in index order. That
     is O(3^m * m) time and O(3^m) memory, against 2^m calls of
     :func:`chain_opt_tails`; opt[A] equals ``chain_opt_tails`` of the
-    indicator of A at the empty set.
+    indicator of A at the empty set. Refuses m > TABLE_LIMIT.
     """
     full = len(values) - 1
     m = full.bit_length()
+    _require_size(m, TABLE_LIMIT, "the all-subsets table holds 3^m entries")
     table: list = [None] * (full + 1)
     table[full] = [0]
     for s in range(full - 1, -1, -1):
@@ -296,7 +297,6 @@ def chain_opt(
     telescoped measures mu_C, with the lexicographically first attaining
     chain; equal to the literal m! sweep, which the tests check.
     """
-    require_sweepable(v.ground)
     if len(weights) != v.ground.size:
         raise ValueError("one weight per ground element required")
     values, den = v.image

@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .chains import Chain, chain_opt, indicator, require_sweepable
+from .chains import Chain, chain_opt, indicator
 from .errors import NegativeValues, NonMonotoneAlongChain, NotSubmodular, ZeroTotalMass
 from .setfn import (GroundSet, ScalarLike, SetFunction, as_scalar, is_submodular,
                     require_monotone)
@@ -150,11 +150,11 @@ def choquet_sup_representation(
     otherwise; without submodularity the maximum can exceed the Choquet
     integral). Returns the maximum and the lexicographically first
     attaining chain; ordering elements by decreasing f-value always
-    attains it; :func:`chainrep.chains.chain_opt` finds it without a sweep.
+    attains it; :func:`chainrep.chains.chain_opt` finds it without a sweep,
+    in 2^m * m steps, at every ground size.
     """
     if v.ground != f.ground:
         raise ValueError("set function and integrand live on different ground sets")
-    require_sweepable(v.ground)
     ok, witness = is_submodular(v)
     if not ok:
         raise NotSubmodular(

@@ -509,10 +509,11 @@ def rearrangement_sup(
 
 
 def _check_chain_hypothesis(w: WeightedSpace) -> None:
-    """Distinct densities, and every subset nu-mass a level of F (0 included)."""
-    if len(set(w.density)) != w.ground.size:
-        raise TiedDensities("density values must be pairwise distinct")
+    """Densities distinct where nu > 0; every subset nu-mass a level of F or 0."""
     ints, den = w._nu_image  # the levels' denominator too
+    weighted = [d for d, x in zip(w.density, ints) if x]
+    if len(set(weighted)) != len(weighted):
+        raise TiedDensities("density values must be pairwise distinct")
     missing = set(subset_sums(ints)) - {0, *w._density_distribution._image.lvs}
     if missing:
         raise ChainConditionError(
@@ -529,11 +530,12 @@ def comonotone_attainment(
     Returns (Choquet integral of f, integral of f against mu, supremum
     over the equal-distribution class), read off :func:`domination_report`
     and asserted equal. The hypothesis is checked on the inputs: the
-    densities are pairwise distinct, and every subset nu-mass is a value
-    of the density's distribution function F, 0 (the empty level set)
-    included. With distinct densities that holds exactly when the
-    positive nu-weights are all equal; elements of zero weight are
-    allowed, as they change no mass or integral.
+    densities of the elements of positive nu-weight are pairwise distinct,
+    and every subset nu-mass is a value of the density's distribution
+    function F, 0 (the empty level set) included. With distinct densities
+    that holds exactly when the positive nu-weights are all equal. Elements
+    of zero weight may take any density, a tied one included, as they
+    change no mass or integral.
     """
     if f.ground != w.ground:
         raise ValueError("integrand lives on a different ground set")

@@ -24,7 +24,7 @@ arithmetic is exact and no Fraction, chain or measure object is built
 inside the loops:
 
 * (b) sweeps the m! chains literally: the sweep is the statement being
-  checked;
+  checked, so it refuses ground sets above ``SWEEP_LIMIT`` = 9 elements;
 * (c) fills one all-subsets table of chain optima,
   :func:`chainrep.chains.chain_opt_all`, in O(3^m * m), and rebuilds the
   lex-first witness chain for the first failing subset only;
@@ -56,8 +56,10 @@ from math import lcm
 from typing import Sequence
 
 from .chains import (
+    SWEEP_LIMIT,
     Chain,
     DiscreteMeasure,
+    _require_size,
     chain_opt,
     chain_opt_all,
     chain_opt_tails,
@@ -65,7 +67,6 @@ from .chains import (
     indicator,
     insert_nested_pair,
     lex_first_order,
-    require_sweepable,
     subset_sums,
 )
 from .setfn import (
@@ -228,6 +229,7 @@ def _extremal_measures_in_core(
     violated mask in bitmask order.
     """
     m = ground.size
+    _require_size(m, SWEEP_LIMIT, "route (b) sweeps m! chains")
     # v or -v is monotone, so every chain's weights share one sign and
     # sum to v(full).
     lanes = _CoreLanes(values, values[-1])
@@ -300,7 +302,6 @@ def _local_candidates_in_core(
 def _verify(v: SetFunction, side: str, values: Sequence[int]) -> EquivalenceReport:
     """The four submodular-side routes on ``values``, the image of v or -v."""
     require_monotone(v, "equivalence verification")
-    require_sweepable(v.ground)
     a_wit = _exchange_violation(values)
     b_holds, b_wit = _extremal_measures_in_core(v.ground, values)
     c_holds, c_wit = _sup_matches_everywhere(v.ground, values)

@@ -24,6 +24,7 @@ from chainrep import (
     dual_transform,
     extremal_measure,
     local_core_attainment,
+    subset_sums,
 )
 from chainrep.chains import chain_opt_tails, indicator, lex_first_order
 from chainrep.choquet import layer_decompose
@@ -82,6 +83,21 @@ def random_capped_sum(rng: random.Random, ground: GroundSet) -> SetFunction:
             total += min(cap, mass)
         return total
     return SetFunction.from_callable(ground, value)
+
+
+def wide_capped_sum(rng: random.Random, ground: GroundSet) -> SetFunction:
+    """Sum of three capped integer measures, built from subset sums.
+
+    Monotone and submodular like :func:`random_capped_sum`, with a cap of
+    at least 1 on each term, and fast enough for 16 elements.
+    """
+    m = ground.size
+    total = [0] * (1 << m)
+    for _ in range(3):
+        sums = subset_sums([rng.randint(0, 5) for _ in range(m)])
+        cap = rng.randint(1, 4 * m)
+        total = [t + min(cap, x) for t, x in zip(total, sums)]
+    return SetFunction.from_image(ground, total, 1)
 
 
 def random_modular(rng: random.Random, ground: GroundSet) -> SetFunction:

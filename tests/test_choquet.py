@@ -8,7 +8,6 @@ from hypothesis import given, strategies as st
 
 from chainrep import (
     GroundSet,
-    GroundSetTooLarge,
     NegativeValues,
     NonMonotoneAlongChain,
     NotSubmodular,
@@ -19,6 +18,7 @@ from chainrep import (
     choquet,
     choquet_sup_representation,
     extremal_measure,
+    is_submodular,
     layer_decompose,
     monotone_approximation,
     risk_measure,
@@ -192,10 +192,34 @@ class TestChoquetSupRepresentation:
                 assert (value, chain) == (want, want_chain), (m, v.values, f.values)
 
     def test_refusal_order(self):
-        # Too large wins over non-submodular, as before the DP.
-        v = SetFunction.from_callable(g(10), lambda s: bin(s).count("1") ** 2)
-        with pytest.raises(GroundSetTooLarge):
-            choquet_sup_representation(v, SimpleFunction.constant(g(10), 1))
+        # No size refusal: the 2^m path DP answers at every ground size, so
+        # the refusals left are, in order, a foreign ground set, a
+        # non-submodular v and a non-monotone v.
+        def card(s):
+            return bin(s).count("1")
+        one = SimpleFunction.constant(g(10), 1)
+        square = SetFunction.from_callable(g(10), lambda s: card(s) ** 2)
+        with pytest.raises(NotSubmodular):
+            choquet_sup_representation(square, one)
+        with pytest.raises(ValueError, match="different ground sets"):
+            choquet_sup_representation(square, SimpleFunction.constant(g(9), 1))
+        # Convex up to 9 elements, then down to 0: neither submodular nor monotone.
+        dip = SetFunction.from_callable(g(10), lambda s: card(s) ** 2 % 100)
+        with pytest.raises(NotSubmodular):
+            choquet_sup_representation(dip, one)
+        tent = SetFunction.from_callable(g(10), lambda s: card(s) * (10 - card(s)))
+        assert is_submodular(tent)[0]
+        with pytest.raises(NonMonotoneAlongChain):
+            choquet_sup_representation(tent, one)
+        rng = random.Random(101)
+        for m in (12, 16):
+            v = support.wide_capped_sum(rng, g(m))
+            f = SimpleFunction(g(m), tuple(Fraction(rng.randint(-6, 6), rng.choice((1, 3)))
+                                          for _ in range(m)))
+            value, chain = choquet_sup_representation(v, f)
+            assert value == choquet(v, f)
+            # The chain is checked by telescoping v along it, without the DP.
+            assert extremal_measure(v, chain).integral(f.values) == value
 
     def test_refuses_an_integrand_on_another_ground_set(self):
         # The same refusal as choquet's, not a chain of the wrong ground set.

@@ -28,6 +28,8 @@ from chainrep.cli import (
 from chainrep.counterexample import V0, V2_EXPECTED
 from chainrep.errors import DocumentError
 
+import support
+
 
 def write_doc(tmp_path, name, obj):
     path = tmp_path / name
@@ -156,6 +158,36 @@ class TestCheckCommand:
         assert "equivalence" not in payload
         assert main(["check", path, "--no-persist"]) == EXIT_OK
         assert "not evaluated" in capsys.readouterr().out
+
+
+class TestSizeLimits:
+    """Each kernel refuses only above its own limit, with exit 2 and no traceback."""
+
+    def doc(self, tmp_path, m):
+        v = support.wide_capped_sum(random.Random(m), GroundSet.of_size(m))
+        return write_doc(tmp_path, f"m{m}.json", serialize_set_function(v))
+
+    def test_chain_supremum_at_sixteen_elements(self, tmp_path, capsys):
+        f = ",".join(str((3 * i) % 7 - 2) for i in range(16))
+        code = main(["choquet", self.doc(tmp_path, 16), f"--f={f}", "--sup", "--witness",
+                     "--no-persist", "--format", "json"])
+        captured = capsys.readouterr()
+        assert code == EXIT_OK and captured.err == ""
+        payload = json.loads(captured.out)
+        assert payload["chain_supremum"] == payload["choquet"]
+        assert len(payload["witness_chain"]) == 16
+
+    def test_iterate_refuses_above_the_table_limit(self, tmp_path, capsys):
+        code = main(["iterate", self.doc(tmp_path, 13), "--no-persist"])
+        err = capsys.readouterr().err
+        assert code == EXIT_INPUT
+        assert "Traceback" not in err and "table" in err
+
+    def test_represent_refuses_above_the_sweep_limit(self, tmp_path, capsys):
+        code = main(["represent", self.doc(tmp_path, 10), "--no-persist"])
+        err = capsys.readouterr().err
+        assert code == EXIT_INPUT
+        assert "Traceback" not in err and "route (b)" in err
 
 
 class TestIngestionErrors:

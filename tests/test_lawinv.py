@@ -340,6 +340,25 @@ class TestComonotoneAttainment:
         with pytest.raises(TiedDensities):
             comonotone_attainment(w, SimpleFunction.constant(w.ground, 1))
 
+    def test_ties_with_zero_weight_elements_allowed(self):
+        # A zero-weight element changes no mass or integral, so its density
+        # may tie; a tie between two positive weights is still refused.
+        ground = g(3)
+        w = WeightedSpace(ground, DiscreteMeasure(ground, (1, 1, 0)), (1, 2, 2))
+        f = fn(ground, (1, 2, 5))
+        assert support.brute_v_mu_integral(w, f) == 5
+        assert support.brute_rearrangement_sup(w, f)[0] == 5
+        assert comonotone_attainment(w, f) == (Fraction(5),) * 3
+        ground = g(4)
+        w = WeightedSpace(ground, DiscreteMeasure(ground, (1, 1, 0, 0)), (1, 2, 3, 3))
+        f = fn(ground, (1, 2, 4, 3))
+        want = support.brute_v_mu_integral(w, f)
+        assert support.brute_rearrangement_sup(w, f)[0] == want
+        assert comonotone_attainment(w, f) == (want,) * 3
+        w = WeightedSpace(ground, DiscreteMeasure(ground, (1, 1, 0, 0)), (2, 2, 1, 3))
+        with pytest.raises(TiedDensities):
+            comonotone_attainment(w, SimpleFunction.constant(ground, 1))
+
     def test_crossing_rejected(self):
         w = counting_space((1, 2))
         with pytest.raises(NotComonotone):

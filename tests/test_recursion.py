@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from itertools import accumulate
 
 import pytest
 
@@ -62,10 +63,17 @@ class TestRecursionStep:
             recursion_step(v)
 
     def test_sweep_cap(self):
+        # The 3^m table of chain optima is the step's one size limit.
         from chainrep import GroundSetTooLarge
-        v = SetFunction(g(10), (Fraction(0),) * (1 << 10))
-        with pytest.raises(GroundSetTooLarge):
+        v = SetFunction(g(13), (Fraction(0),) * (1 << 13))
+        with pytest.raises(GroundSetTooLarge, match="table"):
             recursion_step(v)
+        rng = random.Random(101)
+        for m in (10, 11, 12):
+            increments = [Fraction(rng.randint(0, 9), rng.choice((1, 2))) for _ in range(m)]
+            profile = CardinalityProfile(tuple(accumulate(increments, initial=Fraction(0))))
+            v = profile.to_set_function()
+            assert recursion_step(v).values == symmetric_step(profile).values
 
 
 class TestIterateToFixedPoint:

@@ -1,6 +1,6 @@
-"""Source-level guards: where the library enumerates permutations, what it
-imports, where the lane kernel lives, which side the loop kernels compute
-and where the CLI maps errors."""
+"""Source-level guards: where the library enumerates permutations and
+refuses large ground sets, what it imports, where the lane kernel lives,
+which side the loop kernels compute and where the CLI maps errors."""
 
 import ast
 import re
@@ -39,6 +39,44 @@ def test_literal_sweeps_only_where_the_sweep_is_the_statement():
     assert sweep_sites() == {
         ("chains.py", "all_chains"),
         ("represent.py", "_extremal_measures_in_core"),
+    }
+
+
+def test_each_size_limit_is_checked_in_the_loop_it_bounds():
+    # The m! sweeps of all_chains and route (b) and the 3^m table of
+    # chain_opt_all each refuse a ground set above their own limit; the 2^m
+    # path DP and every caller of these kernels check no size. The package
+    # root re-exports SWEEP_LIMIT.
+    gates, raisers, limits = [], set(), set()
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+
+        def visit(node, scope):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                scope = node.name
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                    and node.func.id == "_require_size"):
+                gates.append((path.name, scope))
+            if (isinstance(node, ast.Raise) and node.exc is not None
+                    and "GroundSetTooLarge" in ast.unparse(node.exc)):
+                raisers.add((path.name, scope))
+            for child in ast.iter_child_nodes(node):
+                visit(child, scope)
+
+        visit(tree, "<module>")
+        for node in ast.walk(tree):
+            name = (node.id if isinstance(node, ast.Name)
+                    else node.attr if isinstance(node, ast.Attribute)
+                    else node.name if isinstance(node, ast.alias) else None)
+            if name in {"SWEEP_LIMIT", "TABLE_LIMIT", "require_sweepable"}:
+                limits.add((path.name, name))
+    assert sorted(gates) == [("chains.py", "all_chains"), ("chains.py", "chain_opt_all"),
+                             ("represent.py", "_extremal_measures_in_core")]
+    assert raisers == {("chains.py", "_require_size")}
+    assert limits == {
+        ("chains.py", "SWEEP_LIMIT"), ("chains.py", "TABLE_LIMIT"),
+        ("represent.py", "SWEEP_LIMIT"), ("cli.py", "SWEEP_LIMIT"),
+        ("__init__.py", "SWEEP_LIMIT"),
     }
 
 
