@@ -8,10 +8,12 @@ depend only on cardinality the closed form below ends the recursion in
 one step for every ground size.
 
 A step computes every value at once from one table of chain optima
-(:func:`chainrep.chains.chain_opt_all`) on the integer image of v:
-O(3^m * m) integer operations and O(3^m) memory, against m! chains for
+(:func:`chainrep.chains.chain_opt_all`) on the integer image of v, whose
+rows are packed lanes: O(3^m * m) lane operations, against m! chains for
 each subset in the literal sweep, which the tests keep as the oracle. The
-table refuses ground sets of more than 12 elements, so a step does too.
+table refuses ground sets of more than 14 elements (``TABLE_LIMIT``), so a
+step does too; its cost and memory are stated on the table. An iteration
+costs at most its step cap, 2^m steps by default, times one step.
 """
 
 from __future__ import annotations

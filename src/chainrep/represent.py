@@ -70,7 +70,8 @@ from .chains import (
     subset_sums,
 )
 from .setfn import (
-    GroundSet, SetFunction, _CoreLanes, _exchange_violation, int_image, require_monotone,
+    GroundSet, SetFunction, _CoreLanes, _Lanes, _exchange_violation, int_image,
+    require_monotone,
 )
 
 
@@ -302,7 +303,7 @@ def _local_candidates_in_core(
 def _verify(v: SetFunction, side: str, values: Sequence[int]) -> EquivalenceReport:
     """The four submodular-side routes on ``values``, the image of v or -v."""
     require_monotone(v, "equivalence verification")
-    a_wit = _exchange_violation(values)
+    a_wit = _exchange_violation(_Lanes(values))
     b_holds, b_wit = _extremal_measures_in_core(v.ground, values)
     c_holds, c_wit = _sup_matches_everywhere(v.ground, values)
     d_holds, d_wit = _local_candidates_in_core(values)

@@ -32,8 +32,9 @@ Both modularity predicates are decided through the equivalent local
 exchange test over triples ``(A, i, j)`` with ``i != j`` outside ``A``,
 which is quadratically cheaper than scanning all pairs of subsets. The
 test is written for the submodular side only: v is supermodular iff -v is
-submodular, so :func:`is_supermodular` runs it on the negated image, whose
-violating triples are v's, in the same order, with the same first witness.
+submodular, so :func:`is_supermodular` runs it on the lanes of the negated
+image, read off v's packing (:meth:`_Lanes.negated`), whose violating
+triples are v's, in the same order, with the same first witness.
 
 Every exhaustive sign test of the package runs on one lane kernel,
 :class:`_Lanes`: the integer image is packed into fixed-width lanes of one
@@ -50,13 +51,18 @@ The trade-off: a scan stops early only when a violation sits at the empty
 set (lane 0), so another failing input costs as much as a passing one,
 and even an early stop pays for packing the image: a generic input at
 m = 8 takes about 0.18 ms.
+
+The all-subsets table of chain optima runs on the same lane arithmetic
+(:class:`_LaneRows`): each row is one int, and one spread, add and lane-wise
+maximum per element builds a row from its children.
 """
 
 from __future__ import annotations
 
+from copy import copy
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 from math import gcd, lcm
 from typing import Callable, Iterable, Sequence, Union
 
@@ -120,7 +126,7 @@ class _Lanes:
 
     def __init__(self, ints: Sequence[int], reach: int = 0):
         self.lo = lo = min(min(ints), reach)
-        hi = max(max(ints), reach)
+        self.hi = hi = max(max(ints), reach)
         self.m = len(ints).bit_length() - 1
         size = ((hi - lo).bit_length() + 9) // 8
         self.width = 8 * size
@@ -132,6 +138,18 @@ class _Lanes:
                 [(x - lo).to_bytes(size, "little") for x in ints[k:k + _PACK_CHUNK]]
             )
         self.packed = int.from_bytes(buf, "little")
+
+    def negated(self) -> "_Lanes":
+        """The lanes of ``-ints``, read off this packing, not packed again.
+
+        For ``-ints`` the range is ``[-hi, -lo]``, so lane k holds
+        ``-ints[k] + hi = (hi - lo) - (ints[k] - lo)``: the same width,
+        and every lane at once is ``(hi - lo) * ones - packed``.
+        """
+        neg = copy(self)
+        neg.lo, neg.hi = -self.hi, -self.lo
+        neg.packed = (self.hi - self.lo) * (self.top >> self.width - 1) - self.packed
+        return neg
 
     def shift(self, x: int, i: int) -> int:
         """Lane k of the result is lane k + 2^i of x."""
@@ -185,6 +203,89 @@ class _CoreLanes(_Lanes):
         for x, (ones, shift) in zip(weights, self.doubling):
             s += (s + x * ones) << shift
         return self.first_clear(self.bound - s, self.top)
+
+
+@lru_cache(maxsize=32)
+def _row_masks(width: int, n: int) -> tuple[int, list[tuple[int, int, tuple]]]:
+    """The masks of a row of 2^n lanes of ``width`` bits for :class:`_LaneRows`.
+
+    The top bit of every lane, and per rank r: the mask E, the shift by
+    2^r lanes and the spread steps. Step j, from the child's high index bit
+    down to r, moves the lanes whose index has bit j set up by 2^j lanes,
+    so rank r runs the steps of rank r + 1 and one more.
+    """
+    size = width // 8
+    ranks, steps = [], ()
+    for r in range(n - 1, -1, -1):
+        if r < n - 1:
+            steps += ((_lane_mask(b"\xff" * size, n, 1 << r) << (width << r), width << r),)
+        ranks.append((_lane_mask((1).to_bytes(size, "little"), n, 1 << r), width << r, steps))
+    return _lane_mask((1 << width - 1).to_bytes(size, "little"), n), ranks[::-1]
+
+
+class _LaneRows:
+    """The rows of the table of :func:`chainrep.chains.chain_opt_all`, packed.
+
+    Row T[S] of n = m - |S| index bits is one int of 2^n lanes, ``width``
+    bits each; lane R holds ``T[S][R] + bias``. Every entry is a sum of at
+    most m increments ``ints[S|i] - ints[S]``, each in ``[-span, span]``
+    with span the range of ``ints``, so with ``bias = m * span`` every lane
+    lies in ``[0, 2 * bias]``. The width is whole bytes with one guard bit
+    above ``2 * bias``, so with ``H = 2^(width-1)`` every lane is below H.
+
+    The row through element i of rank r among the n elements outside S is
+    ``sp | ((sp + d * E) << (width * 2^r))``: sp is T[S|i] with a zero bit
+    inserted at index bit r (its lanes where bit r is set read 0), E is 1
+    in the other lanes, and d the increment of i at S. Those lanes of
+    ``sp + d * E`` hold ``T[S|i][R - i] + d + bias``, and
+    ``T[S|i][R - i] + d >= -|R| * span``, so they stay in ``[0, 2 * bias]``
+    too. The maximum of two rows x, y reads the top bit of
+    ``(y | top) - x``, whose lanes ``H + y_k - x_k`` lie in ``(0, 2H)``.
+    So every intermediate lane stays in ``[0, 2^width)``: no carry or
+    borrow crosses a lane, and each big-int result is exactly the
+    lane-wise one.
+
+    The masks of each lane count come from :func:`_row_masks`. Those of
+    lanes up to 64 bits stay in its cache across tables, 32 pairs of width
+    and lane count, two widths at every count up to 2^15 lanes: at most
+    3.8 MB for 2^14 lanes of 64 bits, 7.0 MB for every count up to that.
+    Wider masks grow with the values (about 200 MB for 2^14 lanes of
+    1000-digit values), so they are built for one table and dropped with it.
+    """
+
+    def __init__(self, ints: Sequence[int]):
+        self.m = len(ints).bit_length() - 1
+        self.bias = self.m * (max(ints) - min(ints))
+        self.width = 8 * (((2 * self.bias).bit_length() + 8) // 8)
+        masks = _row_masks if self.width <= 64 else _row_masks.__wrapped__
+        self.masks = [masks(self.width, n) for n in range(self.m + 1)]
+
+    def row(self, children: Sequence[tuple[int, int]]) -> int:
+        """The lane-wise maximum over the rows through each element outside S.
+
+        ``children`` lists (T[S|i], d) for those elements in index order.
+        """
+        top, ranks = self.masks[len(children)]
+        guard = self.width - 1
+        best = None
+        for (sp, d), (ones, shift, steps) in zip(children, ranks):
+            for mask, step in steps:
+                t = sp & mask
+                sp = (sp ^ t) | (t << step)
+            cand = sp | ((sp + d * ones) << shift)
+            if best is None:
+                best = cand
+            else:
+                sel = ((cand | top) - best) & top
+                best ^= (cand ^ best) & (sel - (sel >> guard))
+        return best
+
+    def unpack(self, row: int) -> list[int]:
+        """The entries of a row of 2^m lanes, from one ``to_bytes``."""
+        size = self.width // 8
+        buf = row.to_bytes(size << self.m, "little")
+        return [int.from_bytes(buf[k:k + size], "little") - self.bias
+                for k in range(0, len(buf), size)]
 
 
 @dataclass(frozen=True)
@@ -394,10 +495,9 @@ def require_monotone(v: SetFunction, what: str, error: type = NotMonotone) -> No
                     f"v decreases from {{{small}}} to {{{large}}}")
 
 
-def _exchange_violation(vals: Sequence[int]) -> ExchangeWitness | None:
+def _exchange_violation(lanes: _Lanes) -> ExchangeWitness | None:
     # The least (A, i, j) with v(A|i) + v(A|j) < v(A|i|j) + v(A): the step
     # by i at A falls below the step by i at A|j.
-    lanes = _Lanes(vals)
     m = lanes.m
     avoiding = [lanes.avoiding(i) for i in range(m)]
     best = None
@@ -415,13 +515,13 @@ def _exchange_violation(vals: Sequence[int]) -> ExchangeWitness | None:
 
 def is_submodular(v: SetFunction) -> tuple[bool, ExchangeWitness | None]:
     """Decide submodularity via the local exchange test; first witness on failure."""
-    w = _exchange_violation(v.image[0])
+    w = _exchange_violation(_Lanes(v.image[0]))
     return w is None, w
 
 
 def is_supermodular(v: SetFunction) -> tuple[bool, ExchangeWitness | None]:
     """Mirror of :func:`is_submodular`: v is supermodular iff -v is submodular."""
-    w = _exchange_violation([-x for x in v.image[0]])
+    w = _exchange_violation(_Lanes(v.image[0]).negated())
     return w is None, w
 
 

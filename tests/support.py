@@ -202,18 +202,7 @@ def lane_edge_inputs(rng: random.Random, m: int) -> Iterator[SetFunction]:
     ground = GroundSet.of_size(m)
     n = 1 << m
     yield SetFunction(ground, (Fraction(0),) * n)
-    for span in LANE_SPANS:
-        lo = rng.choice((0, -span, -rng.randint(1, span - 1)))
-        values = [rng.choice((lo, lo + span, rng.randint(lo, lo + span))) for _ in range(n)]
-        values[0] = 0
-        if n == 2:
-            values[1] = lo if lo else span
-        else:
-            low, high = rng.sample(range(1, n), 2)
-            values[low], values[high] = lo, lo + span
-        yield SetFunction(ground, tuple(values))
-        yield SetFunction.from_callable(ground, lambda s: span if s else 0)
-        yield SetFunction.from_callable(ground, lambda s: span if s & 3 == 3 else 0)
+    yield from span_edge_inputs(rng, m, LANE_SPANS)
     yield SetFunction(ground, tuple([Fraction(0)] + [
         Fraction(rng.choice((-1, 1)) * rng.randint(BIG_NUMERATOR, 2 * BIG_NUMERATOR),
                  rng.randint(1, BIG_DENOMINATOR))
@@ -225,6 +214,24 @@ def lane_edge_inputs(rng: random.Random, m: int) -> Iterator[SetFunction]:
         bump = rng.randint(BIG_NUMERATOR, 2 * BIG_NUMERATOR)
         values[s] = floor + Fraction(bump, rng.randint(1, BIG_DENOMINATOR))
     yield SetFunction(ground, tuple(values))
+
+
+def span_edge_inputs(rng: random.Random, m: int, spans) -> Iterator[SetFunction]:
+    """Per span (at least 2), the three span-wide functions of :func:`lane_edge_inputs`."""
+    ground = GroundSet.of_size(m)
+    n = 1 << m
+    for span in spans:
+        lo = rng.choice((0, -span, -rng.randint(1, span - 1)))
+        values = [rng.choice((lo, lo + span, rng.randint(lo, lo + span))) for _ in range(n)]
+        values[0] = 0
+        if n == 2:
+            values[1] = lo if lo else span
+        else:
+            low, high = rng.sample(range(1, n), 2)
+            values[low], values[high] = lo, lo + span
+        yield SetFunction(ground, tuple(values))
+        yield SetFunction.from_callable(ground, lambda s: span if s else 0)
+        yield SetFunction.from_callable(ground, lambda s: span if s & 3 == 3 else 0)
 
 
 def lawinv_edge_inputs(
@@ -417,6 +424,37 @@ def brute_recursion_step(v: SetFunction) -> SetFunction:
         Fraction(chain_opt_tails(values, indicator(a, m))[0], den)
         for a in v.ground.subsets()
     ))
+
+
+def list_chain_opt_all(values) -> list[int]:
+    """The all-subsets table of ``chain_opt_all`` as Python lists.
+
+    T[S] is a list over R <= complement(S), indexed by R's bits within the
+    complement of S in index order: the largest over i outside S of
+    T[S|i][R - i], plus values[S|i] - values[S] when i is in R.
+    """
+    full = len(values) - 1
+    m = full.bit_length()
+    table: list = [None] * (full + 1)
+    table[full] = [0]
+    for s in range(full - 1, -1, -1):
+        best = None
+        rank = 0  # position of i among the elements outside s
+        for i in range(m):
+            if s >> i & 1:
+                continue
+            child = table[s | 1 << i]
+            d = values[s | 1 << i] - values[s]
+            # Interleave blocks of 2^rank: R without i, then R with i.
+            step = 1 << rank
+            cand = []
+            for h in range(0, len(child), step):
+                cand += child[h:h + step]
+                cand += [x + d for x in child[h:h + step]]
+            best = cand if best is None else list(map(max, best, cand))
+            rank += 1
+        table[s] = best
+    return table[0]
 
 
 def brute_iterate(v: SetFunction, max_steps: int) -> tuple[list[SetFunction], bool]:

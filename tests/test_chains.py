@@ -18,9 +18,12 @@ from chainrep import (
     extremal_measure,
     insert_into_chain,
     insert_nested_pair,
+    is_monotone,
+    recursion_step,
 )
 from chainrep.chains import chain_opt_all, chain_opt_tails, indicator, subset_sums
 from chainrep.counterexample import GROUND, V0
+from chainrep.setfn import _row_masks
 
 import support
 
@@ -235,3 +238,31 @@ class TestChainOptAll:
                     want = [chain_opt_tails(image, indicator(a, m))[0]
                             for a in range(1 << m)]
                     assert chain_opt_all(image) == want
+
+    def test_packed_table_matches_list_table_at_lane_edges(self):
+        # Zero, negative and non-monotone values, spans at byte boundaries
+        # and 4000-digit images, on v and -v; where v is monotone, the
+        # recursion step built on the table matches one DP per subset. The
+        # table's lanes hold 2 * m * span plus a guard bit, so its own byte
+        # edges sit at 2 * m * span = 2^7 and 2^63, where the lanes grow
+        # from 8 to 16 and from 64 to 72 bits and the masks stop being kept.
+        rng = random.Random(227)
+        for m in range(1, 9):
+            spans = [((1 << b) - 1) // (2 * m) + e for b in (7, 63) for e in (0, 1)]
+            for v in itertools.chain(support.lane_edge_inputs(rng, m),
+                                     support.span_edge_inputs(rng, m, spans)):
+                ints = v.image[0]
+                for image in (list(ints), [-x for x in ints]):
+                    assert chain_opt_all(image) == support.list_chain_opt_all(image)
+                if is_monotone(v)[0]:
+                    assert recursion_step(v) == support.brute_recursion_step(v)
+
+    def test_wide_lane_masks_are_not_kept(self):
+        # Masks of lanes wider than 64 bits grow with the values, so they
+        # are built for one table and dropped with it.
+        chain_opt_all([0, 1, 2, 3])
+        before = _row_masks.cache_info()
+        chain_opt_all([0, 10**30, -10**30, 10**30])
+        assert _row_masks.cache_info() == before
+        chain_opt_all([0, 1, 2, 3])
+        assert _row_masks.cache_info().hits > before.hits

@@ -178,7 +178,7 @@ class TestSizeLimits:
         assert len(payload["witness_chain"]) == 16
 
     def test_iterate_refuses_above_the_table_limit(self, tmp_path, capsys):
-        code = main(["iterate", self.doc(tmp_path, 13), "--no-persist"])
+        code = main(["iterate", self.doc(tmp_path, 15), "--no-persist"])
         err = capsys.readouterr().err
         assert code == EXIT_INPUT
         assert "Traceback" not in err and "table" in err

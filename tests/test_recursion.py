@@ -65,11 +65,11 @@ class TestRecursionStep:
     def test_sweep_cap(self):
         # The 3^m table of chain optima is the step's one size limit.
         from chainrep import GroundSetTooLarge
-        v = SetFunction(g(13), (Fraction(0),) * (1 << 13))
+        v = SetFunction(g(15), (Fraction(0),) * (1 << 15))
         with pytest.raises(GroundSetTooLarge, match="table"):
             recursion_step(v)
         rng = random.Random(101)
-        for m in (10, 11, 12):
+        for m in (10, 11, 12, 13):
             increments = [Fraction(rng.randint(0, 9), rng.choice((1, 2))) for _ in range(m)]
             profile = CardinalityProfile(tuple(accumulate(increments, initial=Fraction(0))))
             v = profile.to_set_function()
