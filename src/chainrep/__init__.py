@@ -44,6 +44,7 @@ from .errors import (
     NotNested,
     NotSubmodular,
     ProfileNotMonotone,
+    SearchTooLarge,
     TiedDensities,
     ZeroTotalMass,
 )

@@ -11,6 +11,10 @@ class GroundSetTooLarge(ChainrepError):
     """Ground set exceeds the permutation-sweep limit for chain operations."""
 
 
+class SearchTooLarge(ChainrepError):
+    """An exhaustive search would visit more states than its bound allows."""
+
+
 class NotMonotone(ChainrepError, ValueError):
     """Operation requires a monotone set function."""
 

@@ -51,6 +51,7 @@ from .errors import (
     InternalConsistencyError,
     NegativeValues,
     NotComonotone,
+    SearchTooLarge,
     TiedDensities,
     ZeroTotalMass,
 )
@@ -58,6 +59,8 @@ from .setfn import GroundSet, ScalarLike, SetFunction, as_scalar, int_image
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
+# Level-mass vectors rearrangement_sup may memoize: about 3 s and 125 MB.
+_SEARCH_LIMIT = 1 << 19
 
 
 @dataclass(frozen=True)
@@ -461,8 +464,9 @@ def rearrangement_sup(
     A memoized DP over the vector of level masses still to be assigned
     finds the optimum, in integers scaled by common denominators; for a
     uniform nu with distinct densities it visits 2^m mass vectors, m
-    levels each. A forward pass then picks, element by element, the
-    smallest level whose completion attains the optimum.
+    levels each. Other weights can give far more, so past 2^19 vectors it
+    raises :class:`SearchTooLarge`. A forward pass then picks, element by
+    element, the smallest level whose completion attains the optimum.
     """
     if f.ground != w.ground:
         raise ValueError("integrand lives on a different ground set")
@@ -495,6 +499,10 @@ def rearrangement_sup(
         # The masses still to assign sum to the weight of elements k..,
         # which decreases strictly in k, so need alone keys the memo.
         if need not in memo:
+            if len(memo) >= _SEARCH_LIMIT:
+                raise SearchTooLarge(
+                    f"rearrangement_sup: more than {_SEARCH_LIMIT} level-mass vectors"
+                )
             memo[need] = max((g for _, _, g in moves(k, need)), default=None)
         return memo[need]
 

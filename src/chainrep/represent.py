@@ -28,8 +28,10 @@ inside the loops:
 * (c) fills one all-subsets table of chain optima,
   :func:`chainrep.chains.chain_opt_all`, in O(3^m * m), and rebuilds the
   lex-first witness chain for the first failing subset only;
-* (d) telescopes v along each nested pair and compares over the submasks
-  of A only.
+* (d) reads each nested pair's measure off v on the submasks of A: with
+  B first, element k of A adds v(P + k) - v(P), where P is the elements of
+  B below k if k is in B, else B and the elements of A below k; it is
+  compared with v over the submasks of A only.
 
 The core comparisons of (b), (d) and :func:`in_lower_core`,
 :func:`in_upper_core` and :func:`local_core_attainment` run on the lane
@@ -271,32 +273,25 @@ def _local_candidates_in_core(
 ) -> tuple[bool, tuple[int, int, int] | None]:
     """(d): the constructive nested-pair measures all lie in the local core.
 
-    For the pair B <= A the chain lists B, then A - B, each in index
-    order, so the measure restricted to A telescopes v along those two
-    runs; its sums over the submasks of A are compared with v there.
-    Local bit k of a submask stands for the k-th element of A, so local
-    order is increasing submask order: the witness is the first A in
-    bitmask order, then the first B and the first violated C <= A.
+    The measure of the pair B <= A is read off ``local``, v on the submasks
+    of A, where local bit k stands for the k-th element of A. With j the
+    local mask of B, the chain lists B, then A - B, so element k adds
+    ``local[p | 2^k] - local[p]``, with p = j & (2^k - 1) if k is in B and
+    p = j | (2^k - 1) if not. Local order is increasing submask order: the
+    witness is the first A in bitmask order, then the first B and the first
+    violated C <= A.
     """
     for a in range(len(values)):
-        elems = [1 << i for i in range(a.bit_length()) if a >> i & 1]
-        subs = subset_sums(elems)  # the submasks of A, in increasing order
+        subs = subset_sums([1 << i for i in range(a.bit_length()) if a >> i & 1])
+        local = [values[c] for c in subs]  # in increasing submask order
         # Each measure telescoped inside A has weights of one sign, summing to v(A).
-        lanes = _CoreLanes([values[c] for c in subs], values[a])
-        local = range(len(elems))
-        for j, b in enumerate(subs):
-            order = [k for k in local if j >> k & 1]
-            order += [k for k in local if not j >> k & 1]
-            weights = [0] * len(elems)
-            mask = prev = 0
-            for k in order:
-                mask |= elems[k]
-                cur = values[mask]
-                weights[k] = cur - prev
-                prev = cur
-            k = lanes.first_escape(weights)
+        lanes = _CoreLanes(local, values[a])
+        bits = [1 << k for k in range(len(subs).bit_length() - 1)]
+        for j in range(len(subs)):
+            k = lanes.first_escape([local[p | bit] - local[p] for bit in bits
+                                    for p in [j & bit - 1 if j & bit else j | bit - 1]])
             if k is not None:
-                return False, (a, b, subs[k])
+                return False, (a, subs[j], subs[k])
     return True, None
 
 

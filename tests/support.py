@@ -141,6 +141,15 @@ def random_weighted_space(rng: random.Random, ground: GroundSet,
     return WeightedSpace(ground, DiscreteMeasure(ground, weights), density)
 
 
+# (nu, density, f) at m = 14 on which the rearrangement DP, unbounded, visits
+# about 11.5 M level-mass vectors.
+SEARCH_BOUND_SPACE = (
+    (47, 23, 24, 6, 15, 7, 15, 31, 13, 22, 14, 31, 40, 40),
+    (1, 123, 168, 89, 165, 22, 170, 31, 100, 183, 193, 52, 46, 112),
+    (20, 10, 2, 12, 14, 12, 2, 5, 5, 4, 0, 4, 18, 14),
+)
+
+
 def comonotone_partner(rng: random.Random, w: WeightedSpace,
                        anti: bool = False) -> SimpleFunction:
     """Nonnegative f aligned (or anti-aligned) with the density order."""

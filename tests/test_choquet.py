@@ -76,6 +76,15 @@ class TestLayerDecompose:
         assert layer_decompose(f).reconstruct().values == f.values
 
 
+class TestSimpleFunction:
+    def test_call_and_pointwise_difference(self):
+        f, h = fn(3, (3, 1, "1/2")), fn(3, (1, 1, 2))
+        assert [f(i) for i in range(3)] == [3, 1, Fraction(1, 2)]
+        assert (f - h).values == (2, 0, Fraction(-3, 2))
+        assert (f - Fraction(1, 2)).values == (Fraction(5, 2), Fraction(1, 2), 0)
+        assert (f - f).values == (0, 0, 0)
+
+
 class TestChoquet:
     def test_table_example(self):
         f = SimpleFunction(GROUND, (Fraction(0), Fraction(1), Fraction(3), Fraction(0)))
@@ -175,6 +184,15 @@ class TestChoquetSupRepresentation:
         f = SimpleFunction.constant(GROUND, 1)
         with pytest.raises(NotSubmodular):
             choquet_sup_representation(V0, f)
+
+    def test_refusal_names_the_exchange_witness_by_its_labels(self):
+        # v = |A|^2 on {x, y, z}: the first exchange triple is x, y over {}.
+        ground = GroundSet(("x", "y", "z"))
+        v = SetFunction.from_callable(ground, lambda s: bin(s).count("1") ** 2)
+        with pytest.raises(NotSubmodular) as info:
+            choquet_sup_representation(v, SimpleFunction.constant(ground, 1))
+        assert str(info.value).endswith(
+            "exchange violation v({x}) + v({y}) < v({x,y}) + v({})")
 
     def test_matches_literal_sweep_value_and_witness(self):
         # f drawn from a pool of three values: ties, negatives, thirds.

@@ -1,18 +1,20 @@
 """Document round-trips, command behavior, exit codes, persistence."""
 
 import contextlib
+import datetime
 import io
 import json
 import random
 import sys
 import tempfile
+import types
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from chainrep import GroundSet, SetFunction
+from chainrep import GroundSet, SetFunction, cli
 from chainrep.cli import (
     EXIT_INPUT,
     EXIT_INTERNAL,
@@ -364,6 +366,18 @@ class TestChoquetCommand:
         assert code == EXIT_NEGATIVE
         assert "refused" in err
 
+    def test_sup_refusal_names_the_witness_by_its_labels(self, tmp_path, capsys):
+        ground = GroundSet(("x", "y", "z"))
+        v = SetFunction.from_callable(ground, lambda s: bin(s).count("1") ** 2)
+        path = write_doc(tmp_path, "square.json", serialize_set_function(v))
+        code = main(["choquet", path, "--f", "1,1,1", "--sup", "--no-persist"])
+        err = capsys.readouterr().err
+        assert code == EXIT_NEGATIVE
+        assert err == (
+            "chain supremum refused: chain representation needs submodularity; "
+            "exchange violation v({x}) + v({y}) < v({x,y}) + v({})\n"
+        )
+
     def test_sup_with_witness_on_submodular(self, tmp_path, capsys):
         code = main([
             "choquet", v2_doc(tmp_path), "--f", "1,0,0,0", "--sup",
@@ -442,6 +456,15 @@ class TestSpectralCommand:
         code = main(["spectral", path, "--f=-1,0", "--no-persist"])
         assert code == EXIT_INPUT
 
+    def test_rearrangement_search_past_its_bound_exits_two(self, tmp_path, capsys):
+        nu, density, f = support.SEARCH_BOUND_SPACE
+        path = weighted_doc(tmp_path, list(map(str, nu)), list(map(str, density)))
+        code = main(["spectral", path, "--f", ",".join(map(str, f)), "--no-persist"])
+        out, err = capsys.readouterr()
+        assert code == EXIT_INPUT and out == ""
+        assert err.startswith("error: rearrangement_sup: more than 524288 ")
+        assert "Traceback" not in err
+
 
 class TestDualCommand:
     def test_emits_dual_document(self, tmp_path, capsys):
@@ -498,6 +521,26 @@ class TestPersistence:
         capsys.readouterr()
         digest = document_digest(json.loads(Path(path).read_text()))
         assert len(list((store / digest).glob("run-*.json"))) == 2
+
+    def test_records_within_one_clock_tick_get_numbered_names(
+            self, tmp_path, capsys, monkeypatch):
+        class FrozenClock(datetime.datetime):
+            @classmethod
+            def now(cls, tz=None):
+                return datetime.datetime(2026, 1, 2, 3, 4, 5, 6, tzinfo=tz)
+
+        monkeypatch.setattr(cli, "_dt", types.SimpleNamespace(
+            datetime=FrozenClock, timezone=datetime.timezone))
+        store = tmp_path / "store4"
+        monkeypatch.setenv("CHAINREP_DATA_DIR", str(store))
+        path = v2_doc(tmp_path)
+        for _ in range(3):
+            assert main(["check", path]) == EXIT_OK
+        capsys.readouterr()
+        digest = document_digest(json.loads(Path(path).read_text()))
+        base = "run-20260102T030405000006"
+        assert sorted(p.name for p in (store / digest).iterdir()) == [
+            f"{base}-1.json", f"{base}-2.json", f"{base}.json"]
 
     def test_unwritable_output_file_exits_two(self, tmp_path, capsys):
         target = tmp_path / "missing" / "dual.json"

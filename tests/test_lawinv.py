@@ -13,6 +13,7 @@ from chainrep import (
     GroundSet,
     NegativeValues,
     NotComonotone,
+    SearchTooLarge,
     SimpleFunction,
     StepDistribution,
     TiedDensities,
@@ -320,6 +321,21 @@ class TestRearrangementSup:
                 got = rearrangement_sup(w, f)
                 assert got == support.brute_rearrangement_sup(w, f)
                 assert isinstance(got[0], Fraction)
+
+    def test_refuses_a_search_past_its_bound(self):
+        nu, density, f = support.SEARCH_BOUND_SPACE
+        w = WeightedSpace(g(14), DiscreteMeasure(g(14), nu), density)
+        with pytest.raises(SearchTooLarge, match=r"^rearrangement_sup: more than 524288 "):
+            rearrangement_sup(w, fn(w.ground, f))
+
+    def test_uniform_sixteen_elements_still_answer(self):
+        # Distinct densities on a uniform nu: 2^16 - 1 mass vectors, and the
+        # supremum is the sorted pairing.
+        density, f = range(1, 17), [(7 * i) % 16 for i in range(16)]
+        w = WeightedSpace.counting(g(16), density)
+        value, best = rearrangement_sup(w, fn(w.ground, f))
+        assert value == sum(a * b for a, b in zip(sorted(f), density))
+        assert sorted(best) == list(density)
 
 
 class TestComonotoneAttainment:

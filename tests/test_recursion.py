@@ -79,6 +79,7 @@ class TestRecursionStep:
 class TestIterateToFixedPoint:
     def test_golden_trace(self):
         trace = iterate_to_fixed_point(V0)
+        assert trace.reached_fixed_point
         assert trace.fixed_point_index == 2
         assert len(trace.iterates) == 3
         assert trace.submodular_flags == (False, False, True)
@@ -126,6 +127,7 @@ class TestIterateToFixedPoint:
             iterate_to_fixed_point(V0, max_steps=1)
         trace = info.value.trace
         assert trace.fixed_point_index is None
+        assert not trace.reached_fixed_point and trace.fixed_point is None
         assert len(trace.iterates) == 2
         assert trace.iterates[1].values == V1_EXPECTED.values
 
