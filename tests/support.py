@@ -518,6 +518,22 @@ def brute_exchange_witness(v: SetFunction, submodular: bool) -> ExchangeWitness 
     return None
 
 
+def pack_lanes(lanes, size: int) -> int:
+    """Non-negative lanes of ``size`` bytes each, one ``to_bytes`` per lane."""
+    return int.from_bytes(b"".join(x.to_bytes(size, "little") for x in lanes), "little")
+
+
+def literal_lanes(ints, reach: int = 0) -> tuple[int, int, int]:
+    """The sign-test packing of ``setfn._Lanes``, value by value: (packed, lo, width).
+
+    Lane k holds ``ints[k] - lo`` in whole bytes of at least
+    ``(hi - lo).bit_length() + 2`` bits, where ``[lo, hi]`` spans ints and reach.
+    """
+    lo, hi = min(min(ints), reach), max(max(ints), reach)
+    size = ((hi - lo).bit_length() + 9) // 8
+    return pack_lanes([x - lo for x in ints], size), lo, 8 * size
+
+
 def equal_distribution_densities(w: WeightedSpace) -> Iterator[tuple[Fraction, ...]]:
     """All density vectors whose level sets carry the same nu-masses.
 

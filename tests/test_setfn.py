@@ -1,5 +1,6 @@
 """Predicates, witnesses, and the complement transform."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -18,7 +19,7 @@ from chainrep import (
     is_supermodular,
 )
 from chainrep.counterexample import GROUND, V0, V1_EXPECTED, V2_EXPECTED
-from chainrep.setfn import int_image
+from chainrep.setfn import _CoreLanes, _Lanes, _sign_masks, int_image
 
 import support
 
@@ -292,6 +293,57 @@ class TestLaneWidthEdges:
         for v in list(support.lane_edge_inputs(random.Random(1), 1))[-2:]:
             ints, _ = int_image(v.values)
             assert max(map(abs, ints)) >= 10 ** 4000
+
+
+# Spans where lanes grow from 64 to 72 bits: the last width packed through
+# array("Q") and the first packed one value at a time.
+WIDE_LANE_SPANS = ((1 << 62) - 1, 1 << 62)
+
+
+class TestLanePacking:
+    """The lanes and masks of the sign tests, bit for bit against a literal
+    packing of one ``to_bytes`` per value, on both sides of the 64-bit lane
+    edge."""
+
+    @pytest.mark.parametrize("m", range(1, 9))
+    def test_packing_matches_literal_bytes(self, m):
+        rng = random.Random(500 + m)
+        n, widths = 1 << m, set()
+        for v in itertools.chain(support.lane_edge_inputs(rng, m),
+                                 support.span_edge_inputs(rng, m, WIDE_LANE_SPANS)):
+            ints = list(v.image[0])
+            neg = [-x for x in ints]
+            lanes = _Lanes(ints)
+            widths.add(lanes.width)
+            for got, want in ((lanes, ints), (lanes.negated(), neg)):
+                assert (got.packed, got.lo, got.width) == support.literal_lanes(want)
+            width, size = lanes.width, lanes.width // 8
+            top = 1 << width - 1
+            assert lanes.top == support.pack_lanes([top] * n, size)
+            assert lanes.avoiding == tuple(
+                support.pack_lanes([0 if k >> i & 1 else top for k in range(n)], size)
+                for i in range(m))
+            # Caps against weights of either sign: the total is v(full) or -v(full).
+            for caps, total in ((ints, ints[-1]), (neg, -ints[-1])):
+                core = _CoreLanes(caps, total)
+                packed, _, width = support.literal_lanes(caps, total)
+                size = width // 8
+                assert core.packed == packed
+                assert core.bound == packed + support.pack_lanes([1 << width - 1] * n, size)
+                assert core.doubling == tuple(
+                    (support.pack_lanes([1] * (1 << i), size), width << i) for i in range(m))
+        assert {8, 16, 24, 64, 72} <= widths
+
+    def test_wide_lane_masks_are_not_kept(self):
+        # Masks of lanes wider than 64 bits grow with the values, so they
+        # are built per call and dropped.
+        small = sf(3, range(8))
+        is_submodular(small)
+        before = _sign_masks.cache_info()
+        is_submodular(sf(3, [0] + [k * 10 ** 4000 for k in range(1, 8)]))
+        assert _sign_masks.cache_info() == before
+        is_submodular(small)
+        assert _sign_masks.cache_info().hits > before.hits
 
 
 class TestSupermodular:
