@@ -47,14 +47,14 @@ core checks of :mod:`chainrep.represent` three per telescoped measure
 core of -v). Witnesses are the lowest failing lane, so they are
 the same as those of the literal scans in bitmask order. Lanes of at most
 64 bits are packed in C through ``array("Q")``, wider ones one value at a
-time, and the masks of each lane count are built once (both on
-:class:`_Lanes`). On a 2-vCPU VM, :func:`is_submodular` on a submodular
-input at m = 14 with 16-bit lanes takes about 5.5 ms, of which packing is
-under 1 ms, and :func:`is_monotone` about 1.4 ms. The trade-off: a scan
-stops early only when a violation sits at the empty set (lane 0), so
-another failing input costs as much as a passing one, and even an early
-stop pays for packing the image: a generic input at m = 8 takes about
-0.02 ms.
+time, and the masks of each width and lane count are built once and
+cached (see :class:`_Lanes`). On a 2-vCPU VM, :func:`is_submodular` on a
+submodular input at m = 14 with 16-bit lanes takes about 5.7 ms, of which
+packing is about 0.8 ms, and :func:`is_monotone` about 1.5 ms. The
+trade-off: a scan stops early only when a violation sits at the empty set
+(lane 0), so another failing input costs as much as a passing one, and
+even an early stop pays for packing the image: a generic failing input at
+m = 8 takes about 0.03 ms.
 
 The all-subsets table of chain optima runs on the same lane arithmetic
 (:class:`_LaneRows`): each row is one int, and one spread, add and lane-wise
@@ -109,20 +109,34 @@ def _lane_mask(lane: bytes, m: int, avoid: int = 0) -> int:
     return int.from_bytes(pattern, "little")
 
 
-@lru_cache(maxsize=32)
-def _sign_masks(width: int, m: int) -> tuple[int, tuple[int, ...], tuple[tuple[int, int], ...]]:
-    """The masks of 2^m sign-test lanes of ``width`` bits, for :class:`_Lanes`.
+def _masks(builder: Callable[[int, int], object], width: int, n: int):
+    """``builder(width, n)``: the masks of 2^n lanes of ``width`` bits.
 
-    The top bit of every lane; per element i, the top bit of every lane
-    whose index avoids i; and per i, 1 in each of the first 2^i lanes with
-    the shift past them, which :class:`_CoreLanes` doubles its sums by.
+    ``builder`` is an ``lru_cache``d mask builder. Masks of lanes up to 64
+    bits come from its cache; wider ones grow with the values, so they are
+    built for one call and dropped.
     """
-    size = width // 8
-    top_lane = (1 << width - 1).to_bytes(size, "little")
-    one = (1).to_bytes(size, "little")
-    return (_lane_mask(top_lane, m),
-            tuple(_lane_mask(top_lane, m, 1 << i) for i in range(m)),
-            tuple((_lane_mask(one, i), width << i) for i in range(m)))
+    return (builder if width <= 64 else builder.__wrapped__)(width, n)
+
+
+@lru_cache(maxsize=64)
+def _top_mask(width: int, n: int) -> int:
+    """The top bit of every lane, shared by :class:`_Lanes` and :class:`_LaneRows`."""
+    return _lane_mask((1 << width - 1).to_bytes(width // 8, "little"), n)
+
+
+@lru_cache(maxsize=8)
+def _avoiding_masks(width: int, m: int) -> tuple[int, ...]:
+    """Per element i, the top bit of every lane whose index avoids i."""
+    top = (1 << width - 1).to_bytes(width // 8, "little")
+    return tuple(_lane_mask(top, m, 1 << i) for i in range(m))
+
+
+@lru_cache(maxsize=32)
+def _doubling_masks(width: int, m: int) -> tuple[tuple[int, int], ...]:
+    """Per element i, 1 in each of the first 2^i lanes and the shift past them."""
+    one = (1).to_bytes(width // 8, "little")
+    return tuple((_lane_mask(one, i), width << i) for i in range(m))
 
 
 class _Lanes:
@@ -153,12 +167,17 @@ class _Lanes:
     monotone v and its dual. Wider lanes take one ``to_bytes`` per value,
     exact at any width.
 
-    The masks (``top``, ``avoiding`` and ``doubling``) come from
-    :func:`_sign_masks`. Those of lanes up to 64 bits stay in its cache,
-    32 pairs of width and lane count. One pair of 2^14 lanes holds about
-    0.5 MB at 16 bits and 2.0 MB at 64 bits, one of 2^16 lanes 2.3 MB and
-    9.1 MB. Wider masks grow with the values, so they are built per call
-    and dropped.
+    Each mask comes from its own builder through :func:`_masks`, so a
+    class builds only what it reads: ``top`` from :func:`_top_mask`, the
+    sign tests' ``avoiding`` from :func:`_avoiding_masks` and
+    :class:`_CoreLanes`' ``doubling`` from :func:`_doubling_masks`. Those
+    of lanes up to 64 bits stay cached. By ``__sizeof__``, one set of
+    ``avoiding`` masks holds 0.43 MB for 2^14 lanes of 16 bits, 1.7 MB of
+    64 bits, and 2.0 MB and 8.0 MB for 2^16 lanes; the 8 sets its cache
+    keeps come to at most 40 MB (every width at 2^16 lanes). A ``top`` or
+    ``doubling`` entry is about one lane mask, and their 64 and 32 entries
+    at most 4.8 MB and 4.6 MB. Wider masks grow with the values, so they
+    are built per call and dropped.
     """
 
     def __init__(self, ints: Sequence[int], reach: int = 0):
@@ -175,15 +194,18 @@ class _Lanes:
             raw = slots.tobytes()
             for b in range(size):
                 buf[b::size] = raw[b::8]
-            masks = _sign_masks
         else:
             for k in range(0, len(ints), _PACK_CHUNK):
                 buf[k * size:(k + _PACK_CHUNK) * size] = b"".join(
                     [(x - lo).to_bytes(size, "little") for x in ints[k:k + _PACK_CHUNK]]
                 )
-            masks = _sign_masks.__wrapped__
         self.packed = int.from_bytes(buf, "little")
-        self.top, self.avoiding, self.doubling = masks(self.width, self.m)
+        self.top = _masks(_top_mask, self.width, self.m)
+
+    @property
+    def avoiding(self) -> tuple[int, ...]:
+        """Per element i, the top bit of every lane whose index avoids i."""
+        return _masks(_avoiding_masks, self.width, self.m)
 
     def negated(self) -> "_Lanes":
         """The lanes of ``-ints``, read off this packing, not packed again.
@@ -231,6 +253,7 @@ class _CoreLanes(_Lanes):
     def __init__(self, caps: Sequence[int], total: int):
         super().__init__(caps, total)
         self.bound = self.packed + self.top  # caps + H per lane, less the sums
+        self.doubling = _masks(_doubling_masks, self.width, self.m)
 
     def first_escape(self, weights: Sequence[int]) -> int | None:
         """Lowest lane whose subset sum exceeds its cap.
@@ -245,10 +268,10 @@ class _CoreLanes(_Lanes):
 
 
 @lru_cache(maxsize=32)
-def _row_masks(width: int, n: int) -> tuple[int, list[tuple[int, int, tuple]]]:
+def _row_masks(width: int, n: int) -> list[tuple[int, int, tuple]]:
     """The masks of a row of 2^n lanes of ``width`` bits for :class:`_LaneRows`.
 
-    The top bit of every lane, and per rank r: the mask E, the shift by
+    Per rank r: the mask E, the shift by
     2^r lanes and the spread steps. Step j, from the child's high index bit
     down to r, moves the lanes whose index has bit j set up by 2^j lanes,
     so rank r runs the steps of rank r + 1 and one more.
@@ -259,7 +282,7 @@ def _row_masks(width: int, n: int) -> tuple[int, list[tuple[int, int, tuple]]]:
         if r < n - 1:
             steps += ((_lane_mask(b"\xff" * size, n, 1 << r) << (width << r), width << r),)
         ranks.append((_lane_mask((1).to_bytes(size, "little"), n, 1 << r), width << r, steps))
-    return _lane_mask((1 << width - 1).to_bytes(size, "little"), n), ranks[::-1]
+    return ranks[::-1]
 
 
 class _LaneRows:
@@ -284,20 +307,22 @@ class _LaneRows:
     borrow crosses a lane, and each big-int result is exactly the
     lane-wise one.
 
-    The masks of each lane count come from :func:`_row_masks`. Those of
-    lanes up to 64 bits stay in its cache across tables, 32 pairs of width
-    and lane count, two widths at every count up to 2^15 lanes: at most
-    3.8 MB for 2^14 lanes of 64 bits, 7.0 MB for every count up to that.
-    Wider masks grow with the values (about 200 MB for 2^14 lanes of
-    1000-digit values), so they are built for one table and dropped with it.
+    The masks of each lane count come from :func:`_row_masks`, and the top
+    bits from :func:`_top_mask`, shared with :class:`_Lanes`. Those of
+    lanes up to 64 bits stay cached across tables, 32 pairs of width and
+    lane count in :func:`_row_masks`, two widths at every count up to 2^15
+    lanes. By ``__sizeof__``: 3.5 MB for 2^14 lanes of 64 bits, 6.4 MB for
+    every count up to that, at most 28 MB for any 32 pairs. Wider masks
+    grow with the values (about 200 MB for 2^14 lanes of 1000-digit
+    values), so they are built for one table and dropped with it.
     """
 
     def __init__(self, ints: Sequence[int]):
         self.m = len(ints).bit_length() - 1
         self.bias = self.m * (max(ints) - min(ints))
         self.width = 8 * (((2 * self.bias).bit_length() + 8) // 8)
-        masks = _row_masks if self.width <= 64 else _row_masks.__wrapped__
-        self.masks = [masks(self.width, n) for n in range(self.m + 1)]
+        self.masks = [(_masks(_top_mask, self.width, n), _masks(_row_masks, self.width, n))
+                      for n in range(self.m + 1)]
 
     def row(self, children: Sequence[tuple[int, int]]) -> int:
         """The lane-wise maximum over the rows through each element outside S.
@@ -320,22 +345,9 @@ class _LaneRows:
         return best
 
     def unpack(self, row: int) -> list[int]:
-        """The entries of a row of 2^m lanes, from one ``to_bytes``.
-
-        Lanes of at most 64 bits mirror :class:`_Lanes`' packing: one
-        strided slice per lane byte widens them to 64-bit slots, read by
-        ``array("Q")`` in C. Wider lanes take one ``from_bytes`` each.
-        """
+        """The entries of a row of 2^m lanes, from one ``to_bytes``."""
         size = self.width // 8
         buf = row.to_bytes(size << self.m, "little")
-        if size <= 8:
-            raw = bytearray(8 << self.m)
-            for b in range(size):
-                raw[b::8] = buf[b::size]
-            slots = array("Q", raw)
-            if sys.byteorder == "big":
-                slots.byteswap()
-            return list(map((-self.bias).__add__, slots))
         return [int.from_bytes(buf[k:k + size], "little") - self.bias
                 for k in range(0, len(buf), size)]
 
@@ -526,8 +538,8 @@ def is_monotone(v: SetFunction) -> tuple[bool, MonotoneWitness | None]:
     lanes = _Lanes(v.image[0])
     p = lanes.packed
     best = None
-    for i in range(v.ground.size):
-        k = lanes.first_clear(lanes.shift(p, i) + lanes.top - p, lanes.avoiding[i])
+    for i, avoiding in enumerate(lanes.avoiding):
+        k = lanes.first_clear(lanes.shift(p, i) + lanes.top - p, avoiding)
         if k is not None and (best is None or k < best[0]):
             best = k, i
             if k == 0:  # no later element can have an earlier lane

@@ -19,7 +19,8 @@ from chainrep import (
     is_supermodular,
 )
 from chainrep.counterexample import GROUND, V0, V1_EXPECTED, V2_EXPECTED
-from chainrep.setfn import _CoreLanes, _Lanes, _sign_masks, int_image
+from chainrep.setfn import (_avoiding_masks, _CoreLanes, _doubling_masks, _Lanes, _top_mask,
+                            int_image)
 
 import support
 
@@ -337,13 +338,19 @@ class TestLanePacking:
     def test_wide_lane_masks_are_not_kept(self):
         # Masks of lanes wider than 64 bits grow with the values, so they
         # are built per call and dropped.
-        small = sf(3, range(8))
-        is_submodular(small)
-        before = _sign_masks.cache_info()
-        is_submodular(sf(3, [0] + [k * 10 ** 4000 for k in range(1, 8)]))
-        assert _sign_masks.cache_info() == before
-        is_submodular(small)
-        assert _sign_masks.cache_info().hits > before.hits
+        builders = (_top_mask, _avoiding_masks, _doubling_masks)
+        small, wide = list(range(8)), [0] + [k * 10 ** 4000 for k in range(1, 8)]
+
+        def run(ints):
+            is_submodular(sf(3, ints))
+            _CoreLanes(ints, ints[-1])
+
+        run(small)
+        before = [b.cache_info() for b in builders]
+        run(wide)
+        assert [b.cache_info() for b in builders] == before
+        run(small)
+        assert all(b.cache_info().hits > old.hits for b, old in zip(builders, before))
 
 
 class TestSupermodular:
