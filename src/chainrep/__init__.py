@@ -9,11 +9,11 @@ fixed-point detection, and the law-invariant (distribution-determined)
 family with quantile, product, and spectral decompositions.
 """
 
+from types import ModuleType as _Module
+
 from .chains import (
     Chain,
     DiscreteMeasure,
-    SWEEP_LIMIT,
-    all_chains,
     extremal_measure,
     insert_into_chain,
     insert_nested_pair,
@@ -78,6 +78,7 @@ from .recursion import (
     symmetric_step,
 )
 from .represent import (
+    SWEEP_LIMIT,
     EquivalenceReport,
     LocalCoreReport,
     in_lower_core,
@@ -105,4 +106,4 @@ from .setfn import (
 
 __version__ = "0.1.0"
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [n for n in dir() if not n.startswith("_") and not isinstance(globals()[n], _Module)]

@@ -26,19 +26,16 @@ is the negated chain measure of v.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 from .errors import GroundSetTooLarge, NonMonotoneAlongChain, NotNested
 from .setfn import GroundSet, ScalarLike, SetFunction, _LaneRows, as_scalar, int_image
 
-# Each costly loop refuses ground sets above its own limit: the m!
-# permutation sweeps above SWEEP_LIMIT, the 3^m all-subsets table above
-# TABLE_LIMIT. The 2^m path DP runs at every size a SetFunction takes.
-SWEEP_LIMIT = 9
+# The 3^m all-subsets table refuses ground sets above TABLE_LIMIT, as route (b)'s
+# m! sweep does above represent.SWEEP_LIMIT; the 2^m path DP takes every size.
 TABLE_LIMIT = 14
 
 
@@ -167,13 +164,6 @@ def extremal_measure(v: SetFunction, chain: Chain) -> DiscreteMeasure:
         weights[i] = inc
         prev = ints[mask]
     return DiscreteMeasure(v.ground, tuple(weights))
-
-
-def all_chains(ground: GroundSet) -> Iterator[Chain]:
-    """All m! maximal chains, in lexicographic permutation order; m <= SWEEP_LIMIT."""
-    _require_size(ground.size, SWEEP_LIMIT, "all_chains enumerates m! chains")
-    for perm in itertools.permutations(range(ground.size)):
-        yield Chain(ground, perm)
 
 
 def insert_into_chain(chain: Chain, mask: int) -> Chain:

@@ -157,12 +157,8 @@ def choquet_sup_representation(
         raise ValueError("set function and integrand live on different ground sets")
     ok, witness = is_submodular(v)
     if not ok:
-        x, y = witness.pair_masks()
-        a, b, c, d = (f"v({{{v.ground.subset_key(s)}}})" for s in (x, y, x | y, x & y))
-        raise NotSubmodular(
-            f"chain representation needs submodularity; exchange violation "
-            f"{a} + {b} < {c} + {d}"
-        )
+        raise NotSubmodular("chain representation needs submodularity; "
+                            f"exchange violation {witness.inequality(v.ground)}")
     require_monotone(v, "the chain representation", NonMonotoneAlongChain)
     return chain_opt(v, f.values)
 

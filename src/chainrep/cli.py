@@ -39,7 +39,7 @@ from math import gcd, lcm
 from pathlib import Path
 
 from . import counterexample
-from .chains import SWEEP_LIMIT, DiscreteMeasure
+from .chains import DiscreteMeasure
 from .choquet import SimpleFunction, choquet, choquet_sup_representation, risk_measure
 from .errors import (
     ChainrepError,
@@ -58,7 +58,7 @@ from .lawinv import (
 )
 from .recursion import iterate_to_fixed_point, recursion_step
 from .setfn import GroundSet, SetFunction, dual_transform, is_monotone, is_submodular
-from .represent import verify_submodular_equivalence
+from .represent import SWEEP_LIMIT, verify_submodular_equivalence
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
@@ -155,8 +155,9 @@ def parse_set_function_document(obj) -> SetFunction:
             )
     if values[0][0] != 0:
         raise DocumentError("value of the empty subset '' must be 0")
-    den = lcm(*{d for _, d in values})
-    return SetFunction.from_image(ground, [n * (den // d) for n, d in values], den)
+    den = lcm(*{d for _, d in values})  # of reduced ratios: the image is in lowest terms
+    ints = [n * (den // d) for n, d in values]
+    return SetFunction._from_lowest_terms(ground, ints, den)
 
 
 def serialize_set_function(v: SetFunction) -> dict:
@@ -250,10 +251,6 @@ def _persist(args, doc, outputs) -> None:
     path.write_text(json.dumps(record, indent=2, sort_keys=True))
 
 
-def _mask_str(ground: GroundSet, mask: int) -> str:
-    return "{" + ",".join(ground.labels_of(mask)) + "}"
-
-
 def _value_row(v: SetFunction, order: list[int]) -> list[str]:
     return [rational_str(v.values[mask]) for mask in order]
 
@@ -278,21 +275,13 @@ def cmd_check(args, v: SetFunction):
     payload = {"monotone": mono, "submodular": sub}
     lines = [f"monotone: {'yes' if mono else 'no'}"]
     if mono_wit:
-        lines.append(
-            f"  witness: v({_mask_str(g, mono_wit.small)}) > "
-            f"v({_mask_str(g, mono_wit.large)})"
-        )
-        payload["monotone_witness"] = [
-            g.subset_key(mono_wit.small), g.subset_key(mono_wit.large)
-        ]
+        small, large = g.subset_key(mono_wit.small), g.subset_key(mono_wit.large)
+        lines.append(f"  witness: v({{{small}}}) > v({{{large}}})")
+        payload["monotone_witness"] = [small, large]
     lines.append(f"submodular: {'yes' if sub else 'no'}")
     if sub_wit:
-        x, y = sub_wit.pair_masks()
-        lines.append(
-            f"  witness: v({_mask_str(g, x)}) + v({_mask_str(g, y)}) < "
-            f"v({_mask_str(g, x | y)}) + v({_mask_str(g, x & y)})"
-        )
-        payload["submodular_witness"] = [g.subset_key(x), g.subset_key(y)]
+        lines.append(f"  witness: {sub_wit.inequality(g)}")
+        payload["submodular_witness"] = [g.subset_key(s) for s in sub_wit.pair_masks()]
     if mono and g.size > SWEEP_LIMIT:
         lines.append("four-way equivalence: not evaluated "
                      f"(route (b) would sweep {g.size}! chains)")
@@ -419,7 +408,8 @@ def cmd_spectral(args, w: WeightedSpace):
     # The spectral atoms, in order, are those the decomposition ran over.
     atoms = [(alpha, mass) for alpha, mass, _ in decomposition.components]
     dom = domination_report(w, f)
-    if not direct == product == decomposition.by_components:
+    # spectral_decomposition_check has already matched direct and by_components.
+    if direct != product:
         raise InternalConsistencyError(
             f"direct={rational_str(direct)} "
             f"product={rational_str(product)} "

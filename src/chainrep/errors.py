@@ -8,7 +8,7 @@ class ChainrepError(Exception):
 
 
 class GroundSetTooLarge(ChainrepError):
-    """Ground set exceeds the permutation-sweep limit for chain operations."""
+    """Ground set exceeds a kernel's size limit: route (b)'s m! sweep or the 3^m table."""
 
 
 class SearchTooLarge(ChainrepError):

@@ -58,7 +58,6 @@ from math import lcm
 from typing import Sequence
 
 from .chains import (
-    SWEEP_LIMIT,
     Chain,
     DiscreteMeasure,
     _require_size,
@@ -220,6 +219,9 @@ class EquivalenceReport:
     @property
     def all_hold(self) -> bool:
         return all(self.booleans)
+
+
+SWEEP_LIMIT = 9  # route (b), the package's one literal m! sweep
 
 
 def _extremal_measures_in_core(

@@ -19,14 +19,17 @@ returns, which orders values exactly as the rationals do. Any common
 denominator reduces to it, so equality and hashing compare images. It is
 built once per function: from Fractions by the scalar constructor, or
 handed over as integers through :meth:`SetFunction.from_image` by the
-producers (the complement transform, the recursion step, the
-law-invariant function, measures and the CLI parser). Every predicate and
+producers (the complement transform, the recursion step, the law-invariant
+function and measures), which divides out its gcd. The CLI parser, like
+the scalar constructor, builds the lcm image of reduced ratios: for each
+prime p of den, the value whose denominator carries p's full power has an
+int that p does not divide, so both skip that gcd. Every predicate and
 transform reads it, and ``v(mask)`` builds only the Fraction it returns;
-``values`` is materialised from it on first read, however the function
-was built, one Fraction per distinct value, and then kept. On the 2-vCPU
-VM of the figures below, that first read costs about 40 ms at m = 14 when
-all 2^14 values are distinct and about 2 ms for a law-invariant function
-(136 distinct values), against about 1.3 ms for :func:`dual_transform`.
+``values`` is materialised from it on first read, however the function was
+built, one Fraction per distinct value, and then kept. On the 2-vCPU VM of
+the figures below, that first read costs about 40 ms at m = 14 when all
+2^14 values are distinct and about 2 ms for a law-invariant function (136
+distinct values), against about 1.3 ms for :func:`dual_transform`.
 
 Both modularity predicates are decided through the equivalent local
 exchange test over triples ``(A, i, j)`` with ``i != j`` outside ``A``,
@@ -459,6 +462,14 @@ class SetFunction:
         cls, ground: GroundSet, ints: Iterable[int], den: int
     ) -> "SetFunction":
         """The function with values ``ints[mask] / den``, in canonical form."""
+        v = cls._from_lowest_terms(ground, ints, den)
+        ints, den = v.image
+        g = gcd(den, *ints)  # also refuses anything but integers
+        return v if g == 1 else cls._from_lowest_terms(ground, [x // g for x in ints], den // g)
+
+    @classmethod
+    def _from_lowest_terms(cls, ground: GroundSet, ints: Iterable[int], den: int):
+        # No gcd: the lcm image of reduced ratios is in lowest terms already.
         v = cls.__new__(cls)
         v._store(ground, ints, den)
         return v
@@ -471,9 +482,6 @@ class SetFunction:
             raise ValueError("the empty set must have value 0")
         if den <= 0:
             raise ValueError(f"the denominator must be positive, got {den}")
-        g = gcd(den, *ints)  # also refuses anything but integers
-        if g != 1:
-            ints, den = tuple(x // g for x in ints), den // g
         object.__setattr__(self, "ground", ground)
         object.__setattr__(self, "image", (ints, den))
 
@@ -525,6 +533,12 @@ class ExchangeWitness:
     def pair_masks(self) -> tuple[int, int]:
         """The violating subset pair (base|i, base|j) in quadratic form."""
         return self.base | 1 << self.i, self.base | 1 << self.j
+
+    def inequality(self, ground: GroundSet) -> str:
+        """The violated inequality, each subset named by its labels."""
+        x, y = self.pair_masks()
+        a, b, c, d = (f"v({{{ground.subset_key(s)}}})" for s in (x, y, x | y, x & y))
+        return f"{a} + {b} < {c} + {d}"
 
 
 def is_monotone(v: SetFunction) -> tuple[bool, MonotoneWitness | None]:

@@ -7,6 +7,7 @@ is cross-checked against independent computations.
 
 from __future__ import annotations
 
+import itertools
 import random
 from fractions import Fraction
 from typing import Iterator
@@ -20,7 +21,6 @@ from chainrep import (
     SetFunction,
     SimpleFunction,
     WeightedSpace,
-    all_chains,
     dual_transform,
     extremal_measure,
     local_core_attainment,
@@ -317,6 +317,11 @@ def brute_supermodular(v: SetFunction) -> bool:
             if v.values[a] + v.values[b] > v.values[a | b] + v.values[a & b]:
                 return False
     return True
+
+
+def all_chains(ground: GroundSet) -> Iterator[Chain]:
+    """All m! maximal chains, in lexicographic permutation order."""
+    return (Chain(ground, order) for order in itertools.permutations(range(ground.size)))
 
 
 def brute_sup_over_chains(v: SetFunction, mask: int) -> tuple[Fraction, Chain]:

@@ -12,7 +12,6 @@ from chainrep import (
     CardinalityProfile,
     GroundSet,
     SimpleFunction,
-    all_chains,
     choquet,
     dual_transform,
     extremal_measure,
@@ -37,6 +36,7 @@ from chainrep import (
 from chainrep.counterexample import GROUND, V0, V1_EXPECTED, V2_EXPECTED
 
 import support
+from support import all_chains
 
 
 def g(m):

@@ -10,11 +10,9 @@ from chainrep import (
     Chain,
     DiscreteMeasure,
     GroundSet,
-    GroundSetTooLarge,
     NonMonotoneAlongChain,
     NotNested,
     SetFunction,
-    all_chains,
     extremal_measure,
     insert_into_chain,
     insert_nested_pair,
@@ -26,6 +24,7 @@ from chainrep.counterexample import GROUND, V0
 from chainrep.setfn import _row_masks
 
 import support
+from support import all_chains
 
 
 def g(m):
@@ -87,20 +86,6 @@ class TestExtremalMeasure:
                 assert all(
                     sums[s] <= v.values[s] for s in g(m).subsets()
                 )
-
-
-class TestAllChains:
-    def test_counts(self):
-        assert len(list(all_chains(g(1)))) == 1
-        assert len(list(all_chains(g(4)))) == 24
-
-    def test_lexicographic_start(self):
-        first = next(iter(all_chains(g(3))))
-        assert first.label_order() == ("1", "2", "3")
-
-    def test_sweep_cap(self):
-        with pytest.raises(GroundSetTooLarge):
-            list(all_chains(g(10)))
 
 
 class TestInsertion:

@@ -14,7 +14,6 @@ from chainrep import (
     SetFunction,
     SimpleFunction,
     ZeroTotalMass,
-    all_chains,
     choquet,
     choquet_sup_representation,
     extremal_measure,
@@ -27,6 +26,7 @@ from chainrep import (
 from chainrep.counterexample import GROUND, V0
 
 import support
+from support import all_chains
 
 
 def g(m):

@@ -14,7 +14,9 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from chainrep import GroundSet, SetFunction, cli
+from chainrep import (
+    GroundSet, SetFunction, cli, is_monotone, is_submodular, verify_submodular_equivalence,
+)
 from chainrep.cli import (
     EXIT_INPUT,
     EXIT_INTERNAL,
@@ -146,6 +148,32 @@ class TestCheckCommand:
         assert code == EXIT_OK
         assert payload["submodular"] is True
         assert payload["equivalence"] == {"a": True, "b": True, "c": True, "d": True}
+
+    def test_wide_rational_document_answers_as_the_library(self, tmp_path, capsys):
+        # Distinct denominators of a few hundred digits give a common
+        # denominator of thousands; the parser builds that image directly.
+        rng = random.Random(5)
+        ground = GroundSet.of_size(5)
+        vals = [Fraction(0)] * 32
+        for s in range(1, 32):
+            floor = max(vals[s & ~(1 << i)] for i in range(5) if s >> i & 1)
+            d = rng.randrange(10**299, 10**300)
+            vals[s] = Fraction(-(-floor.numerator * d // floor.denominator)
+                               + rng.randint(0, 10**3), d)
+        doc = {"ground_set": list(ground.elements),
+               "values": {ground.subset_key(s): str(x) for s, x in enumerate(vals)}}
+        code = main(["check", write_doc(tmp_path, "wide.json", doc), "--no-persist",
+                     "--format", "json"])
+        captured = capsys.readouterr()
+        assert "Traceback" not in captured.err
+        v = SetFunction(ground, vals)
+        (sub, wit), report = is_submodular(v), verify_submodular_equivalence(v)
+        assert is_monotone(v)[0] and code == (EXIT_OK if sub else EXIT_NEGATIVE)
+        expected = {"monotone": True, "submodular": sub}
+        if wit:
+            expected["submodular_witness"] = [ground.subset_key(s) for s in wit.pair_masks()]
+        expected["equivalence"] = dict(zip("abcd", report.booleans))
+        assert json.loads(captured.out) == expected
 
     def test_wide_ground_set_skips_the_four_way_report(self, tmp_path, capsys):
         ground = GroundSet.of_size(10)

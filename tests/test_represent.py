@@ -6,9 +6,11 @@ from fractions import Fraction
 import pytest
 
 from chainrep import (
+    SWEEP_LIMIT,
     Chain,
     DiscreteMeasure,
     GroundSet,
+    GroundSetTooLarge,
     NotNested,
     SetFunction,
     dual_transform,
@@ -27,6 +29,7 @@ from chainrep.represent import _extremal_measures_in_core, _local_candidates_in_
 from chainrep.setfn import int_image, is_monotone, is_submodular, is_supermodular
 
 import support
+from support import all_chains
 
 
 def g(m):
@@ -43,7 +46,6 @@ class TestLowerCore:
 
     def test_submodular_chain_measures_in_core(self):
         v = SetFunction.from_callable(g(4), lambda s: min(2, bin(s).count("1")))
-        from chainrep import all_chains
         for chain in all_chains(g(4)):
             ok, _ = in_lower_core(v, extremal_measure(v, chain))
             assert ok
@@ -61,7 +63,6 @@ class TestLowerCore:
 
     def test_upper_core_mirror(self):
         v = SetFunction.from_callable(g(3), lambda s: bin(s).count("1") ** 2)
-        from chainrep import all_chains
         for chain in all_chains(g(3)):
             ok, _ = in_upper_core(v, extremal_measure(v, chain))
             assert ok
@@ -123,7 +124,6 @@ class TestSupOverChains:
                 assert sup_over_chains(v, mask)[0] >= v.values[mask]
 
     def test_submodular_any_prefix_chain_attains(self):
-        from chainrep import all_chains
         rng = random.Random(23)
         for _ in range(10):
             v = support.random_submodular(rng, g(4))
@@ -218,6 +218,16 @@ class TestEquivalence:
         v = SetFunction(g(2), (Fraction(0), Fraction(2), Fraction(1), Fraction(1)))
         with pytest.raises(ValueError):
             verify_submodular_equivalence(v)
+
+    def test_route_b_refuses_above_the_sweep_limit(self):
+        # Both sides run route (b)'s literal m! sweep, which alone has a limit.
+        m = SWEEP_LIMIT + 1
+        v = support.wide_capped_sum(random.Random(m), g(m))
+        for verify in (verify_submodular_equivalence, verify_supermodular_equivalence):
+            with pytest.raises(GroundSetTooLarge,
+                               match=rf"^route \(b\) sweeps m! chains: at most {SWEEP_LIMIT} "
+                                     rf"elements, got {m}$"):
+                verify(v)
 
     def test_witnesses_reported_when_false(self):
         report = verify_submodular_equivalence(V0)

@@ -3,6 +3,7 @@
 import itertools
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, strategies as st
@@ -18,6 +19,7 @@ from chainrep import (
     is_submodular,
     is_supermodular,
 )
+from chainrep.cli import parse_set_function_document
 from chainrep.counterexample import GROUND, V0, V1_EXPECTED, V2_EXPECTED
 from chainrep.setfn import (_avoiding_masks, _CoreLanes, _doubling_masks, _Lanes, _top_mask,
                             int_image)
@@ -111,6 +113,25 @@ class TestImage:
             assert w.image == v.image
             assert w.values == tuple(Fraction(x) for x in self.FRACS)
             assert [w(s) for s in range(8)] == list(v.values)
+
+    @pytest.mark.parametrize("m,digits", [(3, 1), (6, 1), (3, 300), (5, 200)])
+    def test_parsed_image_is_the_scalar_image_in_lowest_terms(self, m, digits):
+        # The CLI parser and the scalar constructor build the lcm image of
+        # reduced ratios and skip from_image's gcd, which is 1 there.
+        rng = random.Random(m * 1000 + digits)
+        fracs = [Fraction(0)] + [Fraction(rng.randint(-10**digits, 10**digits),
+                                          rng.randint(1, 10**digits)) for _ in range(1, 1 << m)]
+        ground = g(m)
+        doc = {"ground_set": list(ground.elements), "values": {}}
+        for mask, x in enumerate(fracs):
+            k = rng.randint(1, 12)  # the document need not be in lowest terms
+            doc["values"][ground.subset_key(mask)] = f"{k * x.numerator}/{k * x.denominator}"
+        v = parse_set_function_document(doc)
+        ints, den = v.image
+        assert v.image == SetFunction(ground, fracs).image
+        assert gcd(den, *ints) == 1
+        assert v.values == tuple(fracs)
+        assert SetFunction.from_image(ground, [6 * x for x in ints], 6 * den).image == v.image
 
     def test_zero_function_has_unit_denominator(self):
         v = SetFunction.from_image(g(2), [0, 0, 0, 0], 12)

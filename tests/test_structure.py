@@ -6,6 +6,7 @@ import ast
 import re
 import sys
 from pathlib import Path
+from types import ModuleType
 
 import chainrep
 
@@ -34,20 +35,17 @@ def sweep_sites() -> set[tuple[str, str]]:
 
 
 def test_literal_sweeps_only_where_the_sweep_is_the_statement():
-    # Route (b) of the four-way report and the public enumerator itself;
-    # every other chain optimum goes through the lattice-path DP.
-    assert sweep_sites() == {
-        ("chains.py", "all_chains"),
-        ("represent.py", "_extremal_measures_in_core"),
-    }
+    # Route (b) of the four-way report; every other chain optimum goes
+    # through the lattice-path DP, and the chain enumerator is a test oracle.
+    assert sweep_sites() == {("represent.py", "_extremal_measures_in_core")}
 
 
 def test_each_size_limit_is_checked_in_the_loop_it_bounds():
-    # The m! sweeps of all_chains and route (b) and the 3^m table of
-    # chain_opt_all each refuse a ground set above their own limit; the 2^m
-    # path DP and every caller of these kernels check no size. The package
-    # root re-exports SWEEP_LIMIT.
-    gates, raisers, limits = [], set(), set()
+    # Route (b)'s m! sweep and the 3^m table of chain_opt_all each refuse a
+    # ground set above their own limit, defined next to them; the 2^m path
+    # DP and every caller of these kernels check no size. The package root
+    # re-exports SWEEP_LIMIT.
+    gates, raisers, limits, defined = [], set(), set(), set()
     for path in sorted(SRC.glob("*.py")):
         tree = ast.parse(path.read_text(), filename=str(path))
 
@@ -70,14 +68,23 @@ def test_each_size_limit_is_checked_in_the_loop_it_bounds():
                     else node.name if isinstance(node, ast.alias) else None)
             if name in {"SWEEP_LIMIT", "TABLE_LIMIT", "require_sweepable"}:
                 limits.add((path.name, name))
-    assert sorted(gates) == [("chains.py", "all_chains"), ("chains.py", "chain_opt_all"),
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+                    defined.add((path.name, name))
+    assert sorted(gates) == [("chains.py", "chain_opt_all"),
                              ("represent.py", "_extremal_measures_in_core")]
     assert raisers == {("chains.py", "_require_size")}
+    assert defined == {("chains.py", "TABLE_LIMIT"), ("represent.py", "SWEEP_LIMIT")}
     assert limits == {
-        ("chains.py", "SWEEP_LIMIT"), ("chains.py", "TABLE_LIMIT"),
-        ("represent.py", "SWEEP_LIMIT"), ("cli.py", "SWEEP_LIMIT"),
-        ("__init__.py", "SWEEP_LIMIT"),
+        ("chains.py", "TABLE_LIMIT"), ("represent.py", "SWEEP_LIMIT"),
+        ("cli.py", "SWEEP_LIMIT"), ("__init__.py", "SWEEP_LIMIT"),
     }
+
+
+def test_package_root_exports_no_module():
+    # ``from chainrep import *`` binds the public names, not the submodules.
+    modules = [n for n in chainrep.__all__ if isinstance(getattr(chainrep, n), ModuleType)]
+    assert modules == []
+    assert "SWEEP_LIMIT" in chainrep.__all__ and "all_chains" not in dir(chainrep)
 
 
 def test_library_imports_only_the_standard_library():
