@@ -142,7 +142,7 @@ def random_weighted_space(rng: random.Random, ground: GroundSet,
 
 
 # (nu, density, f) at m = 14 on which the rearrangement DP, unbounded, visits
-# about 11.5 M level-mass vectors.
+# about 10.4 M level-mass vectors before its forced two-element tail.
 SEARCH_BOUND_SPACE = (
     (47, 23, 24, 6, 15, 7, 15, 31, 13, 22, 14, 31, 40, 40),
     (1, 123, 168, 89, 165, 22, 170, 31, 100, 183, 193, 52, 46, 112),

@@ -38,6 +38,7 @@ from chainrep import (
     v_mu_set_function,
     v_mu_via_quantile,
 )
+from chainrep import lawinv
 from chainrep.lawinv import distribution_integral, quantile_integral
 
 import support
@@ -249,10 +250,12 @@ class TestComonotone:
 
     def test_matches_sublevel_nesting_definition(self):
         rng = random.Random(163)
-        for _ in range(60):
-            m = rng.randint(1, 4)
-            f = support.random_simple(rng, g(m), lo=0, hi=4)
-            h = support.random_simple(rng, g(m), lo=0, hi=4)
+        seen = set()
+        for _ in range(240):
+            m = rng.randint(1, 7)
+            # Four values over up to seven elements: ties in both functions.
+            f = support.random_simple(rng, g(m), lo=0, hi=3)
+            h = support.random_simple(rng, g(m), lo=0, hi=3)
             nested = True
             for y in set(h.values):
                 below_h = {i for i in range(m) if h.values[i] <= y}
@@ -261,6 +264,9 @@ class TestComonotone:
                     if not (below_h <= below_f or below_f <= below_h):
                         nested = False
             assert comonotone_check(f, h) == nested
+            tied = len(set(f.values)) < m and len(set(h.values)) < m
+            seen.add((m, tied, nested))
+        assert {(7, True, True), (7, True, False)} <= seen
 
 
 class TestEqualDistributionClass:
@@ -329,13 +335,53 @@ class TestRearrangementSup:
             rearrangement_sup(w, fn(w.ground, f))
 
     def test_uniform_sixteen_elements_still_answer(self):
-        # Distinct densities on a uniform nu: 2^16 - 1 mass vectors, and the
-        # supremum is the sorted pairing.
-        density, f = range(1, 17), [(7 * i) % 16 for i in range(16)]
+        # Distinct densities on a uniform nu: the completion is forced from
+        # the first element on, so no mass vector is memoized. The witness
+        # is the sorted pairing; tied f take levels in index order.
+        density, f = range(1, 17), [(7 * i) % 16 // 2 for i in range(16)]
         w = WeightedSpace.counting(g(16), density)
         value, best = rearrangement_sup(w, fn(w.ground, f))
         assert value == sum(a * b for a, b in zip(sorted(f), density))
-        assert sorted(best) == list(density)
+        want = [0] * 16
+        for level, i in zip(density, sorted(range(16), key=lambda i: (f[i], i))):
+            want[i] = level
+        assert best == tuple(want)
+
+    def test_forced_tail_matches_literal_sweep(self):
+        """A head of mixed masses, then a tail of one mass whose completion is forced.
+
+        The tail has at least two elements (one at m = 1), zero-weight
+        elements among them, tied f, and densities drawn with ties.
+        """
+        rng = random.Random(331)
+        for m in range(1, 8):
+            for _ in range(30 if m < 7 else 10):
+                unit = Fraction(rng.choice((1, 2, "1/2")))
+                tail = rng.randint(min(m, 2), m)
+                zeros = rng.randint(0, m - tail)
+                others = [Fraction(x) for x in (1, 2, 3, "1/2", "2/3") if Fraction(x) != unit]
+                head = [rng.choice(others + [unit, Fraction(0)]) for _ in range(m - tail - zeros)]
+                if head:
+                    head[-1] = rng.choice(others)  # the tail starts right after it
+                rest = [unit] * (tail - 1) + [Fraction(0)] * zeros
+                rng.shuffle(rest)
+                nu = tuple(head + [unit] + rest)
+                density = tuple(Fraction(rng.choice((0, 1, "5/3", 3))) for _ in range(m))
+                w = WeightedSpace(g(m), DiscreteMeasure(g(m), nu), density)
+                f = fn(w.ground, [rng.choice((0, 1, 1, 2, "-1/2")) for _ in range(m)])
+                assert rearrangement_sup(w, f) == support.brute_rearrangement_sup(w, f)
+
+    def test_forced_completion_searches_nothing(self, monkeypatch):
+        monkeypatch.setattr(lawinv, "_SEARCH_LIMIT", 0)
+        density, f = range(1, 17), [(5 * i) % 16 for i in range(16)]
+        w = WeightedSpace.counting(g(16), density)
+        value, _ = rearrangement_sup(w, fn(w.ground, f))
+        assert value == sum(a * b for a, b in zip(sorted(f), density))
+        # One heavier first element: it is outside the forced tail.
+        nu = DiscreteMeasure(w.ground, (Fraction(2),) + (Fraction(1),) * 15)
+        w = WeightedSpace(w.ground, nu, w.density)
+        with pytest.raises(SearchTooLarge, match=r"^rearrangement_sup: more than 0 "):
+            rearrangement_sup(w, fn(w.ground, f))
 
 
 class TestComonotoneAttainment:
