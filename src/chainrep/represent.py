@@ -297,10 +297,12 @@ def _local_candidates_in_core(
     return True, None
 
 
-def _verify(v: SetFunction, side: str, values: Sequence[int]) -> EquivalenceReport:
-    """The four submodular-side routes on ``values``, the image of v or -v."""
+def _verify(v: SetFunction, side: str, values: Sequence[int],
+            lanes: _Lanes) -> EquivalenceReport:
+    """The four submodular-side routes on ``values``, the image of v or -v,
+    and ``lanes``, v's packing of it."""
     require_monotone(v, "equivalence verification")
-    a_wit = _exchange_violation(_Lanes(values))
+    a_wit = _exchange_violation(lanes)
     b_holds, b_wit = _extremal_measures_in_core(v.ground, values)
     c_holds, c_wit = _sup_matches_everywhere(v.ground, values)
     d_holds, d_wit = _local_candidates_in_core(values)
@@ -311,9 +313,9 @@ def _verify(v: SetFunction, side: str, values: Sequence[int]) -> EquivalenceRepo
 
 def verify_submodular_equivalence(v: SetFunction) -> EquivalenceReport:
     """Evaluate all four submodular-side statements independently."""
-    return _verify(v, "submodular", v.image[0])
+    return _verify(v, "submodular", v.image[0], v._lanes)
 
 
 def verify_supermodular_equivalence(v: SetFunction) -> EquivalenceReport:
     """The four dual statements, infima and the upper core: those of -v."""
-    return _verify(v, "supermodular", [-x for x in v.image[0]])
+    return _verify(v, "supermodular", [-x for x in v.image[0]], v._lanes.negated())

@@ -51,13 +51,18 @@ core of -v). Witnesses are the lowest failing lane, so they are
 the same as those of the literal scans in bitmask order. Lanes of at most
 64 bits are packed in C through ``array("Q")``, wider ones one value at a
 time, and the masks of each width and lane count are built once and
-cached (see :class:`_Lanes`). On a 2-vCPU VM, :func:`is_submodular` on a
-submodular input at m = 14 with 16-bit lanes takes about 5.7 ms, of which
-packing is about 0.8 ms, and :func:`is_monotone` about 1.5 ms. The
-trade-off: a scan stops early only when a violation sits at the empty set
-(lane 0), so another failing input costs as much as a passing one, and
-even an early stop pays for packing the image: a generic failing input at
-m = 8 takes about 0.03 ms.
+cached (see :class:`_Lanes`). Each :class:`SetFunction` packs its image
+once, on first use, and keeps the lanes as it keeps ``values``: its
+monotone, submodular and supermodular tests and route (a) of
+:mod:`chainrep.represent` share them. A lane test that passes costs one
+``&`` and one compare per mask (:meth:`_Lanes.first_clear`). On a 2-vCPU
+VM, :func:`is_submodular` on a fresh submodular input at m = 14 with
+16-bit lanes takes about 3.7 ms, of which packing is about 0.7 ms, and
+:func:`is_monotone` on the same function about 0.6 ms more (1.2 ms when
+it packs). The trade-off: a scan stops early only when a violation sits
+at the empty set (lane 0), so another failing input costs as much as a
+passing one, and even an early stop pays for packing the image: a generic
+failing input at m = 8 takes about 0.02 ms.
 
 The all-subsets table of chain optima runs on the same lane arithmetic
 (:class:`_LaneRows`): each row is one int, and one spread, add and lane-wise
@@ -181,6 +186,9 @@ class _Lanes:
     ``doubling`` entry is about one lane mask, and their 64 and 32 entries
     at most 4.8 MB and 4.6 MB. Wider masks grow with the values, so they
     are built per call and dropped.
+
+    A :class:`SetFunction` keeps the lanes of its image once packed; the
+    negated lanes and the core lanes are built per call.
     """
 
     def __init__(self, ints: Sequence[int], reach: int = 0):
@@ -235,10 +243,17 @@ class _Lanes:
         """Lowest lane whose top bit is set in mask and clear in x.
 
         With ``x = plus + top - minus`` that is the lowest lane of the mask
-        with ``plus_k < minus_k``.
+        with ``plus_k < minus_k``. Every operand is non-negative: a negative
+        one (``~x``, ``-bad``) would make ``&`` convert it to two's
+        complement first, one more pass over all the lanes. So the passing
+        case costs one ``&`` and one compare, and the failing one finds the
+        lowest set bit of the clear top bits through ``bad - 1``.
         """
-        bad = mask & ~x
-        return ((bad & -bad).bit_length() - 1) // self.width if bad else None
+        hit = x & mask
+        if hit == mask:
+            return None
+        bad = mask ^ hit
+        return ((bad ^ (bad - 1)).bit_length() - 1) // self.width
 
 
 class _CoreLanes(_Lanes):
@@ -448,7 +463,9 @@ class SetFunction:
 
     ``image = (ints, den)`` is the canonical integer image (see the module
     docstring) and ``values[mask] == Fraction(ints[mask], den)``; the empty
-    set must have value zero. ``values`` is built on first read and kept.
+    set must have value zero. ``values`` is built on first read and kept,
+    and so are the lanes of the sign tests, packed on first use; neither
+    is a field, so equality, hashing and ``repr`` see only the image.
     """
 
     ground: GroundSet
@@ -491,6 +508,11 @@ class SetFunction:
         # One Fraction per distinct value, shared by the subsets that take it.
         frac = {x: Fraction(x, den) for x in set(ints)}
         return tuple(map(frac.__getitem__, ints))
+
+    # Shared by is_monotone, is_submodular, is_supermodular and route (a).
+    @cached_property
+    def _lanes(self) -> _Lanes:
+        return _Lanes(self.image[0])
 
     @classmethod
     def from_callable(
@@ -549,7 +571,7 @@ def is_monotone(v: SetFunction) -> tuple[bool, MonotoneWitness | None]:
     increasing bitmask order of A, then index order of i, so it is
     deterministic.
     """
-    lanes = _Lanes(v.image[0])
+    lanes = v._lanes
     p = lanes.packed
     best = None
     for i, avoiding in enumerate(lanes.avoiding):
@@ -592,13 +614,13 @@ def _exchange_violation(lanes: _Lanes) -> ExchangeWitness | None:
 
 def is_submodular(v: SetFunction) -> tuple[bool, ExchangeWitness | None]:
     """Decide submodularity via the local exchange test; first witness on failure."""
-    w = _exchange_violation(_Lanes(v.image[0]))
+    w = _exchange_violation(v._lanes)
     return w is None, w
 
 
 def is_supermodular(v: SetFunction) -> tuple[bool, ExchangeWitness | None]:
     """Mirror of :func:`is_submodular`: v is supermodular iff -v is submodular."""
-    w = _exchange_violation(_Lanes(v.image[0]).negated())
+    w = _exchange_violation(v._lanes.negated())
     return w is None, w
 
 

@@ -1,5 +1,6 @@
 """Predicates, witnesses, and the complement transform."""
 
+import dataclasses
 import itertools
 import random
 from fractions import Fraction
@@ -18,6 +19,9 @@ from chainrep import (
     is_null_set,
     is_submodular,
     is_supermodular,
+    iterate_to_fixed_point,
+    verify_submodular_equivalence,
+    verify_supermodular_equivalence,
 )
 from chainrep.cli import parse_set_function_document
 from chainrep.counterexample import GROUND, V0, V1_EXPECTED, V2_EXPECTED
@@ -372,6 +376,88 @@ class TestLanePacking:
         assert [b.cache_info() for b in builders] == before
         run(small)
         assert all(b.cache_info().hits > old.hits for b, old in zip(builders, before))
+
+
+def literal_first_clear(x: int, mask: int, width: int, n: int) -> int | None:
+    """The lowest of n lanes whose top bit is set in mask and clear in x."""
+    for k in range(n):
+        bit = 1 << k * width + width - 1
+        if mask & bit and not x & bit:
+            return k
+    return None
+
+
+class TestFirstClear:
+    """``_Lanes.first_clear`` against a per-lane scan, on lanes packed
+    through ``array("Q")`` (8 to 64 bits) and one value at a time (72)."""
+
+    @pytest.mark.parametrize("width", (8, 16, 24, 64, 72))
+    def test_matches_a_per_lane_scan(self, width):
+        rng = random.Random(width)
+        span = 1 << width - 3  # the widest span packed into width-bit lanes
+        for n_bits in range(11):
+            n = 1 << n_bits
+            lanes = _Lanes([0] * (n - 1) + [span])
+            assert lanes.width == width
+            top, bits = lanes.top, n * width
+            lane_top = 1 << width - 1
+            cases = [(rng.getrandbits(bits), top & rng.getrandbits(bits)) for _ in range(20)]
+            cases += [(rng.getrandbits(bits), 0), (top, top), (top | rng.getrandbits(bits), top),
+                      (top ^ lane_top, top),
+                      (top ^ lane_top << (n - 1) * width, top)]
+            # A shifted value: lanes past its end read 0, so their top bits are clear.
+            cases += [(lanes.shift(top | rng.getrandbits(bits), i), top) for i in range(n_bits)]
+            for x, mask in cases:
+                assert lanes.first_clear(x, mask) == literal_first_clear(x, mask, width, n)
+            assert lanes.first_clear(top ^ lane_top, top) == 0
+            assert lanes.first_clear(top ^ lane_top << (n - 1) * width, top) == n - 1
+            assert lanes.first_clear(rng.getrandbits(bits), 0) is None
+            assert lanes.first_clear(top, top) is None
+
+
+def count_packings(monkeypatch) -> list[int]:
+    """Count each ``_Lanes`` packed from here on, not the core lanes built on it."""
+    count = [0]
+    init = _Lanes.__init__
+
+    def counted(self, *args):
+        count[0] += type(self) is _Lanes
+        init(self, *args)
+    monkeypatch.setattr(_Lanes, "__init__", counted)
+    return count
+
+
+class TestLanesKeptOnTheFunction:
+    """Each set function packs its lanes once, on first use, and keeps them
+    like ``values``, outside its fields."""
+
+    def test_sign_tests_and_route_a_share_one_packing(self, monkeypatch):
+        count = count_packings(monkeypatch)
+        v = SetFunction.from_callable(g(5), lambda s: min(3, bin(s).count("1")))
+        assert count[0] == 0
+        assert is_monotone(v) == (True, None)
+        assert is_submodular(v) == (True, None)
+        assert not is_supermodular(v)[0]
+        assert verify_submodular_equivalence(v).booleans == (True,) * 4
+        assert verify_supermodular_equivalence(v).booleans == (False,) * 4
+        assert count[0] == 1
+        assert is_supermodular(dual_transform(v)) == (True, None)
+        assert count[0] == 2
+
+    def test_each_iterate_is_packed_once(self, monkeypatch):
+        count = count_packings(monkeypatch)
+        v0 = SetFunction(GROUND, V0.values)
+        trace = iterate_to_fixed_point(v0)
+        assert len(trace.iterates) == 3
+        assert count[0] == len(trace.iterates)
+
+    def test_kept_lanes_leave_equality_hash_and_repr(self):
+        packed, fresh = sf(3, range(8)), sf(3, range(8))
+        assert is_submodular(packed)[0] and "_lanes" in vars(packed)
+        assert "_lanes" not in vars(fresh)
+        assert packed == fresh and hash(packed) == hash(fresh)
+        assert repr(packed) == repr(fresh)
+        assert [f.name for f in dataclasses.fields(SetFunction)] == ["ground", "image"]
 
 
 class TestSupermodular:

@@ -122,6 +122,15 @@ def test_lane_kernel_defined_once_in_setfn_and_private():
     assert packing == {"setfn.py"}
 
 
+def test_lane_tests_take_no_negative_operand():
+    # A negative operand of & is converted to two's complement first, one
+    # more pass over every lane, so _Lanes.first_clear compares x & mask
+    # with mask rather than reading mask & ~x.
+    tree = ast.parse((SRC / "setfn.py").read_text())
+    assert [node.lineno for node in ast.walk(tree)
+            if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.Invert)] == []
+
+
 def test_cli_maps_exceptions_to_exit_codes_only_in_main():
     # run_command owns load, emit and persist, and main the one
     # exception-to-exit map; a command only computes and renders.
