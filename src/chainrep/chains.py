@@ -15,7 +15,8 @@ functions and ordinary measures used throughout the package.
 
 A chain is also a lattice path from the empty set to the full set, so one
 DP over the 2^m subsets (:func:`chain_opt`) optimizes over all m! chains,
-and one table over the pairs S, R <= complement(S) (:func:`chain_opt_all`)
+and the same pass returns the lexicographically first optimal chain. One
+table over the pairs S, R <= complement(S) (:func:`chain_opt_all`)
 gives the optimum for the indicator of every subset at once, in 3^m * m
 steps on rows of packed lanes, for at most ``TABLE_LIMIT`` = 14 elements
 (about 1 s). These
@@ -159,7 +160,7 @@ def extremal_measure(v: SetFunction, chain: Chain) -> DiscreteMeasure:
         if inc < 0:
             raise NonMonotoneAlongChain(
                 f"negative increment {inc} at element "
-                f"{v.ground.elements[i]!r} along chain {chain.label_order()}"
+                f"{v.ground.elements[i]} along chain {','.join(chain.label_order())}"
             )
         weights[i] = inc
         prev = ints[mask]
@@ -190,10 +191,8 @@ def insert_nested_pair(chain: Chain, a_mask: int, b_mask: int) -> Chain:
     chain.ground.require_mask(a_mask)
     chain.ground.require_mask(b_mask)
     if b_mask & ~a_mask:
-        raise NotNested(
-            f"{chain.ground.subset_key(b_mask) or '{}'} is not contained in "
-            f"{chain.ground.subset_key(a_mask) or '{}'}"
-        )
+        key = chain.ground.subset_key
+        raise NotNested(f"{{{key(b_mask)}}} is not contained in {{{key(a_mask)}}}")
     return insert_into_chain(insert_into_chain(chain, a_mask), b_mask)
 
 
@@ -202,28 +201,39 @@ def indicator(mask: int, m: int) -> list[int]:
     return [mask >> i & 1 for i in range(m)]
 
 
-def chain_opt_tails(values: Sequence[int], weights: Sequence[int]) -> list[int]:
-    """tails[S] = largest weighted increment sum over lattice paths S -> full.
+def chain_opt_path(
+    values: Sequence[int], weights: Sequence[int]
+) -> tuple[int, tuple[int, ...]]:
+    """The largest weighted increment sum over lattice paths empty -> full,
+    with the lexicographically first permutation whose path attains it.
 
-    A step S -> S|i contributes ``weights[i] * (values[S|i] - values[S])``;
-    tails[0] is the maximum over all maximal chains. Zero weights are
-    skipped, so an indicator costs one addition per contributing step.
+    A step S -> S|i contributes ``weights[i] * (values[S|i] - values[S])``.
+    Each S scans the elements outside it in index order under a strict
+    maximum, so first[S] is the lowest element whose step reaches the best
+    tail from S, and walking first[] from the empty set reads the lex-first
+    optimal chain. Zero weights are skipped, so an indicator costs one
+    addition per contributing step.
     """
     m = len(weights)
     full = (1 << m) - 1
     tails = [0] * (full + 1)
-    steps = [(1 << i, w) for i, w in enumerate(weights)]
+    first = [0] * full
+    steps = [(i, 1 << i, w) for i, w in enumerate(weights)]
     for s in range(full - 1, -1, -1):
         vs = values[s]
         best = None
-        for b, w in steps:
+        for i, b, w in steps:
             if not s & b:
                 t = s | b
                 g = tails[t] + w * (values[t] - vs) if w else tails[t]
                 if best is None or g > best:
-                    best = g
+                    best, first[s] = g, i
         tails[s] = best
-    return tails
+    order, s = [], 0
+    while s != full:
+        order.append(first[s])
+        s |= 1 << first[s]
+    return tails[0], tuple(order)
 
 
 def chain_opt_all(values: Sequence[int]) -> list[int]:
@@ -236,8 +246,8 @@ def chain_opt_all(values: Sequence[int]) -> list[int]:
     T[S] is indexed by R's bits within the complement of S, in index
     order, and is one int of packed lanes (``setfn._LaneRows``), so each
     row costs a few big-int operations per element outside S rather than
-    a Python step per entry. opt[A] equals ``chain_opt_tails`` of the
-    indicator of A at the empty set.
+    a Python step per entry. opt[A] equals the optimum ``chain_opt_path``
+    returns for the indicator of A.
 
     That is O(3^m * m) big-int operations on rows of up to 2^m lanes, and
     a row is freed once its last reader, the row of S minus its highest
@@ -246,10 +256,11 @@ def chain_opt_all(values: Sequence[int]) -> list[int]:
     at m = 13 and 0.8–1.0 s at m = 14, with a peak of about 5 MB above the
     input at m = 14. Each operation passes over every bit of a row, and
     adding an increment multiplies it into every lane, so wide values cost
-    more than they did on the list table this replaced: at m = 8 about
-    0.012 s for 100-digit values, 0.05–0.09 s for 300 and 0.25–0.3 s for
-    1000 digits, where the list table took 0.015–0.02 s. Rationals reach
-    such widths through the common denominator of their integer image.
+    more than on the list table of the tests' oracle
+    (``support.list_chain_opt_all``): at m = 8 about 0.012 s for 100-digit
+    values, 0.05–0.09 s for 300 and 0.25–0.3 s for 1000 digits, where the
+    list table takes 0.015–0.02 s. Rationals reach such widths through the
+    common denominator of their integer image.
     Refuses m > TABLE_LIMIT.
     """
     full = len(values) - 1
@@ -267,20 +278,6 @@ def chain_opt_all(values: Sequence[int]) -> list[int]:
     return rows.unpack(table[0])
 
 
-def lex_first_order(
-    values: Sequence[int], weights: Sequence[int], tails: Sequence[int]
-) -> tuple[int, ...]:
-    """The lexicographically first permutation whose path attains tails[0]."""
-    order, s = [], 0
-    for _ in weights:
-        vs, target = values[s], tails[s]
-        i = next(i for i, w in enumerate(weights) if not s >> i & 1
-                 and tails[s | 1 << i] + w * (values[s | 1 << i] - vs) == target)
-        order.append(i)
-        s |= 1 << i
-    return tuple(order)
-
-
 def chain_opt(
     v: SetFunction, weights: Sequence[int | Fraction]
 ) -> tuple[Fraction, Chain]:
@@ -294,6 +291,5 @@ def chain_opt(
         raise ValueError("one weight per ground element required")
     values, den = v.image
     wts, wden = int_image(weights)
-    tails = chain_opt_tails(values, wts)
-    order = lex_first_order(values, wts, tails)
-    return Fraction(tails[0], den * wden), Chain(v.ground, order)
+    best, order = chain_opt_path(values, wts)
+    return Fraction(best, den * wden), Chain(v.ground, order)

@@ -63,11 +63,10 @@ from .chains import (
     _require_size,
     chain_opt,
     chain_opt_all,
-    chain_opt_tails,
+    chain_opt_path,
     extremal_measure,
     indicator,
     insert_nested_pair,
-    lex_first_order,
     subset_sums,
 )
 from .setfn import (
@@ -265,9 +264,7 @@ def _sup_matches_everywhere(
     if opt == list(values):
         return True, None
     a = next(a for a, (x, y) in enumerate(zip(opt, values)) if x != y)
-    weights = indicator(a, ground.size)
-    tails = chain_opt_tails(values, weights)
-    return False, (a, Chain(ground, lex_first_order(values, weights, tails)))
+    return False, (a, Chain(ground, chain_opt_path(values, indicator(a, ground.size))[1]))
 
 
 def _local_candidates_in_core(

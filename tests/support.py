@@ -26,7 +26,7 @@ from chainrep import (
     local_core_attainment,
     subset_sums,
 )
-from chainrep.chains import chain_opt_tails, indicator, lex_first_order
+from chainrep.chains import chain_opt_path, indicator
 from chainrep.choquet import layer_decompose
 from chainrep.setfn import int_image
 
@@ -372,16 +372,16 @@ def brute_route_b(
 def brute_route_c(
     v: SetFunction, maximize: bool
 ) -> tuple[bool, tuple[int, Chain] | None]:
-    """Route (c) with one lattice-path DP per subset, in bitmask order; the
-    minimum side is the DP's maximum for -v, which has the same chains."""
+    """Route (c) with one lattice-path DP per subset of v or -v, in bitmask
+    order; the witness at the first failing subset is the first attaining
+    chain of the literal m! sweep, over the maximum or the minimum."""
     sign = 1 if maximize else -1
     values = [sign * x for x in int_image(v.values)[0]]
     m = v.ground.size
     for a in v.ground.subsets():
-        weights = indicator(a, m)
-        tails = chain_opt_tails(values, weights)
-        if tails[0] != values[a]:
-            return False, (a, Chain(v.ground, lex_first_order(values, weights, tails)))
+        if chain_opt_path(values, indicator(a, m))[0] != values[a]:
+            sweep = brute_sup_over_chains if maximize else brute_inf_over_chains
+            return False, (a, sweep(v, a)[1])
     return True, None
 
 
@@ -435,7 +435,7 @@ def brute_recursion_step(v: SetFunction) -> SetFunction:
     values, den = int_image(v.values)
     m = v.ground.size
     return SetFunction(v.ground, tuple(
-        Fraction(chain_opt_tails(values, indicator(a, m))[0], den)
+        Fraction(chain_opt_path(values, indicator(a, m))[0], den)
         for a in v.ground.subsets()
     ))
 

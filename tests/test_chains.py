@@ -19,7 +19,7 @@ from chainrep import (
     is_monotone,
     recursion_step,
 )
-from chainrep.chains import chain_opt_all, chain_opt_tails, indicator, subset_sums
+from chainrep.chains import chain_opt_all, chain_opt_path, indicator, subset_sums
 from chainrep.counterexample import GROUND, V0
 from chainrep.setfn import _row_masks
 
@@ -73,7 +73,8 @@ class TestExtremalMeasure:
 
     def test_rejects_non_monotone(self):
         v = SetFunction(g(2), (Fraction(0), Fraction(2), Fraction(1), Fraction(1)))
-        with pytest.raises(NonMonotoneAlongChain):
+        with pytest.raises(NonMonotoneAlongChain,
+                           match=r"^negative increment -1 at element 2 along chain 1,2$"):
             extremal_measure(v, Chain.from_labels(g(2), ["1", "2"]))
 
     def test_submodular_measures_dominated(self):
@@ -126,8 +127,12 @@ class TestNestedInsertion:
 
     def test_rejects_non_nested(self):
         chain = Chain.identity(g(3))
-        with pytest.raises(NotNested):
+        with pytest.raises(NotNested, match=r"^\{2\} is not contained in \{1\}$"):
             insert_nested_pair(chain, 0b001, 0b010)
+        with pytest.raises(NotNested, match=r"^\{3\} is not contained in \{1,2\}$"):
+            insert_nested_pair(chain, 0b011, 0b100)
+        with pytest.raises(NotNested, match=r"^\{1\} is not contained in \{\}$"):
+            insert_nested_pair(chain, 0, 0b001)
 
     def test_equal_pair_matches_single_insertion(self):
         chain = Chain.from_labels(g(4), ["4", "2", "1", "3"])
@@ -220,7 +225,7 @@ class TestChainOptAll:
                 values = [0] + [rng.randint(-4, 12) for _ in range((1 << m) - 1)]
                 # A minimum is the maximum for -v, so both signs are covered.
                 for image in (values, [-x for x in values]):
-                    want = [chain_opt_tails(image, indicator(a, m))[0]
+                    want = [chain_opt_path(image, indicator(a, m))[0]
                             for a in range(1 << m)]
                     assert chain_opt_all(image) == want
 

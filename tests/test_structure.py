@@ -212,7 +212,7 @@ def test_lawinv_loops_read_the_integer_image():
 # each mirror negates the integer image at its public edge.
 ONE_SIDED_KERNELS = {
     ("setfn.py", "_exchange_violation"), ("setfn.py", "_Lanes"),
-    ("setfn.py", "_CoreLanes"), ("chains.py", "chain_opt_tails"),
+    ("setfn.py", "_CoreLanes"), ("chains.py", "chain_opt_path"),
     ("chains.py", "chain_opt_all"), ("chains.py", "chain_opt"),
     ("represent.py", "_extremal_measures_in_core"),
     ("represent.py", "_sup_matches_everywhere"),
