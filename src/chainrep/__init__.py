@@ -7,103 +7,91 @@ submodularity and chain/core representations, Choquet integration with
 its coherent risk normalization, the chain-supremum recursion with exact
 fixed-point detection, and the law-invariant (distribution-determined)
 family with quantile, product, and spectral decompositions.
+
+Importing the package loads only ``errors``, ``setfn``, ``chains`` and
+``choquet``; every other exported name is imported from its submodule on
+first use, and ``choquet`` is bound eagerly because the first import of the
+``chainrep.choquet`` submodule would otherwise rebind it to that module.
 """
 
-from types import ModuleType as _Module
+from importlib import import_module as _import_module
 
-from .chains import (
-    Chain,
-    DiscreteMeasure,
-    extremal_measure,
-    insert_into_chain,
-    insert_nested_pair,
-    subset_sums,
-)
-from .choquet import (
-    LayerDecomposition,
-    SimpleFunction,
-    choquet,
-    choquet_sup_representation,
-    layer_decompose,
-    monotone_approximation,
-    risk_measure,
-)
-from .errors import (
-    AlphaOutOfRange,
-    BetaOutOfRange,
-    ChainConditionError,
-    ChainrepError,
-    DocumentError,
-    GroundSetTooLarge,
-    InternalConsistencyError,
-    MaxStepsExceeded,
-    NegativeValues,
-    NonMonotoneAlongChain,
-    NotComonotone,
-    NotMonotone,
-    NotNested,
-    NotSubmodular,
-    ProfileNotMonotone,
-    SearchTooLarge,
-    TiedDensities,
-    ZeroTotalMass,
-)
-from .lawinv import (
-    DominationReport,
-    SpectralDecompositionReport,
-    SpectralMeasure,
-    StepDistribution,
-    WeightedSpace,
-    choquet_product_formula,
-    comonotone_attainment,
-    comonotone_check,
-    cvar_component,
-    distribution_of_density,
-    distribution_of_function,
-    domination_report,
-    kusuoka_measure,
-    quantile,
-    rearrangement_sup,
-    spectral_decomposition_check,
-    v_mu,
-    v_mu_integral,
-    v_mu_set_function,
-    v_mu_via_quantile,
-)
-from .recursion import (
-    CardinalityProfile,
-    RecursionTrace,
-    iterate_to_fixed_point,
-    recursion_step,
-    symmetric_step,
-)
-from .represent import (
-    SWEEP_LIMIT,
-    EquivalenceReport,
-    LocalCoreReport,
-    in_lower_core,
-    in_upper_core,
-    inf_over_chains,
-    local_core_attainment,
-    local_core_sup,
-    sup_over_chains,
-    verify_submodular_equivalence,
-    verify_supermodular_equivalence,
-)
-from .setfn import (
-    ExchangeWitness,
-    GroundSet,
-    MonotoneWitness,
-    Scalar,
-    SetFunction,
-    as_scalar,
-    dual_transform,
-    is_monotone,
-    is_null_set,
-    is_submodular,
-    is_supermodular,
-)
+from .choquet import choquet
 
 __version__ = "0.1.0"
 
-__all__ = [n for n in dir() if not n.startswith("_") and not isinstance(globals()[n], _Module)]
+__all__ = [
+    "AlphaOutOfRange", "BetaOutOfRange", "CardinalityProfile", "Chain",
+    "ChainConditionError", "ChainrepError", "DiscreteMeasure", "DocumentError",
+    "DominationReport", "EquivalenceReport", "ExchangeWitness", "GroundSet",
+    "GroundSetTooLarge", "InternalConsistencyError", "LayerDecomposition",
+    "LocalCoreReport", "MaxStepsExceeded", "MonotoneWitness", "NegativeValues",
+    "NonMonotoneAlongChain", "NotComonotone", "NotMonotone", "NotNested",
+    "NotSubmodular", "ProfileNotMonotone", "RecursionTrace", "SWEEP_LIMIT", "Scalar",
+    "SearchTooLarge", "SetFunction", "SimpleFunction", "SpectralDecompositionReport",
+    "SpectralMeasure", "StepDistribution", "TiedDensities", "WeightedSpace",
+    "ZeroTotalMass", "as_scalar", "choquet", "choquet_product_formula",
+    "choquet_sup_representation", "comonotone_attainment", "comonotone_check",
+    "cvar_component", "distribution_of_density", "distribution_of_function",
+    "domination_report", "dual_transform", "extremal_measure", "in_lower_core",
+    "in_upper_core", "inf_over_chains", "insert_into_chain", "insert_nested_pair",
+    "is_monotone", "is_null_set", "is_submodular", "is_supermodular",
+    "iterate_to_fixed_point", "kusuoka_measure", "layer_decompose",
+    "local_core_attainment", "local_core_sup", "monotone_approximation", "quantile",
+    "rearrangement_sup", "recursion_step", "risk_measure",
+    "spectral_decomposition_check", "subset_sums", "sup_over_chains",
+    "symmetric_step", "v_mu", "v_mu_integral", "v_mu_set_function",
+    "v_mu_via_quantile", "verify_submodular_equivalence",
+    "verify_supermodular_equivalence",
+]
+
+# The submodule that defines each exported name.
+_HOME = {
+    **dict.fromkeys((
+        "Chain", "DiscreteMeasure", "extremal_measure", "insert_into_chain",
+        "insert_nested_pair", "subset_sums",
+    ), "chains"),
+    **dict.fromkeys((
+        "LayerDecomposition", "SimpleFunction", "choquet", "choquet_sup_representation",
+        "layer_decompose", "monotone_approximation", "risk_measure",
+    ), "choquet"),
+    **dict.fromkeys((
+        "AlphaOutOfRange", "BetaOutOfRange", "ChainConditionError", "ChainrepError",
+        "DocumentError", "GroundSetTooLarge", "InternalConsistencyError",
+        "MaxStepsExceeded", "NegativeValues", "NonMonotoneAlongChain", "NotComonotone",
+        "NotMonotone", "NotNested", "NotSubmodular", "ProfileNotMonotone",
+        "SearchTooLarge", "TiedDensities", "ZeroTotalMass",
+    ), "errors"),
+    **dict.fromkeys((
+        "DominationReport", "SpectralDecompositionReport", "SpectralMeasure",
+        "StepDistribution", "WeightedSpace", "choquet_product_formula",
+        "comonotone_attainment", "comonotone_check", "cvar_component",
+        "distribution_of_density", "distribution_of_function", "domination_report",
+        "kusuoka_measure", "quantile", "rearrangement_sup", "spectral_decomposition_check",
+        "v_mu", "v_mu_integral", "v_mu_set_function", "v_mu_via_quantile",
+    ), "lawinv"),
+    **dict.fromkeys((
+        "CardinalityProfile", "RecursionTrace", "iterate_to_fixed_point",
+        "recursion_step", "symmetric_step",
+    ), "recursion"),
+    **dict.fromkeys((
+        "SWEEP_LIMIT", "EquivalenceReport", "LocalCoreReport", "in_lower_core",
+        "in_upper_core", "inf_over_chains", "local_core_attainment", "local_core_sup",
+        "sup_over_chains", "verify_submodular_equivalence",
+        "verify_supermodular_equivalence",
+    ), "represent"),
+    **dict.fromkeys((
+        "ExchangeWitness", "GroundSet", "MonotoneWitness", "Scalar", "SetFunction",
+        "as_scalar", "dual_transform", "is_monotone", "is_null_set", "is_submodular",
+        "is_supermodular",
+    ), "setfn"),
+}
+
+
+def __getattr__(name):
+    """Import an exported name from its submodule on first use (PEP 562)."""
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(_import_module(f".{_HOME[name]}", __name__), name)
+    globals()[name] = value
+    return value

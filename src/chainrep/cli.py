@@ -27,7 +27,6 @@ parameters are the command's arguments.
 from __future__ import annotations
 
 import argparse
-import datetime as _dt
 import hashlib
 import json
 import os
@@ -37,10 +36,10 @@ from decimal import Decimal
 from fractions import Fraction
 from math import gcd, lcm
 from pathlib import Path
+from time import gmtime, strftime, time_ns
 
-from . import counterexample
-from .chains import DiscreteMeasure
-from .choquet import SimpleFunction, choquet, choquet_sup_representation, risk_measure
+# Only errors and setfn load with this module: each command imports the
+# modules it runs, so that start-up pays for no module the command skips.
 from .errors import (
     ChainrepError,
     DocumentError,
@@ -49,16 +48,7 @@ from .errors import (
     NotSubmodular,
     ZeroTotalMass,
 )
-from .lawinv import (
-    WeightedSpace,
-    distribution_of_density,
-    domination_report,
-    choquet_product_formula,
-    spectral_decomposition_check,
-)
-from .recursion import iterate_to_fixed_point, recursion_step
 from .setfn import GroundSet, SetFunction, dual_transform, is_monotone, is_submodular
-from .represent import SWEEP_LIMIT, verify_submodular_equivalence
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
@@ -170,6 +160,9 @@ def serialize_set_function(v: SetFunction) -> dict:
 
 
 def parse_weighted_space_document(obj) -> WeightedSpace:
+    from .chains import DiscreteMeasure
+    from .lawinv import WeightedSpace
+
     _require_keys_within(obj, {"ground_set", "nu", "density"})
     for key in ("ground_set", "nu", "density"):
         if key not in obj:
@@ -232,13 +225,9 @@ def _persist(args, doc, outputs) -> None:
     root = Path(os.environ.get("CHAINREP_DATA_DIR") or Path.home() / ".chainrep")
     directory = root / digest
     directory.mkdir(parents=True, exist_ok=True)
-    stamp = _dt.datetime.now(_dt.timezone.utc)
-    base = f"run-{stamp.strftime('%Y%m%dT%H%M%S%f')}"
-    path = directory / f"{base}.json"
-    n = 0
-    while path.exists():
-        n += 1
-        path = directory / f"{base}-{n}.json"
+    seconds, micros = divmod(time_ns() // 1000, 1_000_000)
+    utc = gmtime(seconds)
+    fraction = f".{micros:06d}" if micros else ""  # as datetime.isoformat() prints it
     record = {
         "digest": digest,
         "command": args.command,
@@ -246,9 +235,20 @@ def _persist(args, doc, outputs) -> None:
             k: v for k, v in vars(args).items() if k not in _NOT_PARAMETERS
         },
         "outputs": outputs,
-        "timestamp": stamp.isoformat(),
+        "timestamp": strftime("%Y-%m-%dT%H:%M:%S", utc) + fraction + "+00:00",
     }
-    path.write_text(json.dumps(record, indent=2, sort_keys=True))
+    text = json.dumps(record, indent=2, sort_keys=True)
+    base = strftime("run-%Y%m%dT%H%M%S", utc) + f"{micros:06d}"
+    path, n = directory / f"{base}.json", 0
+    while True:
+        try:  # exclusive create: two runs in one clock tick never share a name
+            fh = open(path, "x")
+            break
+        except FileExistsError:
+            n += 1
+            path = directory / f"{base}-{n}.json"
+    with fh:
+        fh.write(text)
 
 
 def _value_row(v: SetFunction, order: list[int]) -> list[str]:
@@ -269,6 +269,8 @@ def _table(header: list[str], rows: list[list[str]]) -> list[str]:
 # JSON output and run-record outputs), the table lines (None when the output
 # has no table form) and the exit code.
 def cmd_check(args, v: SetFunction):
+    from .represent import SWEEP_LIMIT, verify_submodular_equivalence
+
     g = v.ground
     mono, mono_wit = is_monotone(v)
     sub, sub_wit = is_submodular(v)
@@ -299,6 +301,8 @@ def cmd_check(args, v: SetFunction):
 
 
 def cmd_iterate(args, v: SetFunction):
+    from .recursion import iterate_to_fixed_point
+
     order, keys = v.ground.keyed_subsets()
     header = ["n"] + ["{" + key + "}" for key in keys] + ["submodular"]
     code = EXIT_OK
@@ -327,6 +331,9 @@ def cmd_iterate(args, v: SetFunction):
 
 
 def cmd_repro_table(args, v0: SetFunction):
+    from . import counterexample
+    from .recursion import recursion_step
+
     expected = {
         "v0": counterexample.V0,
         "v1": counterexample.V1_EXPECTED,
@@ -368,6 +375,8 @@ def cmd_repro_table(args, v0: SetFunction):
 
 
 def _parse_f(ground: GroundSet, text: str) -> SimpleFunction:
+    from .choquet import SimpleFunction
+
     parts = text.split(",")
     if len(parts) != ground.size:
         raise DocumentError(
@@ -379,6 +388,8 @@ def _parse_f(ground: GroundSet, text: str) -> SimpleFunction:
 
 
 def cmd_choquet(args, v: SetFunction):
+    from .choquet import choquet, choquet_sup_representation, risk_measure
+
     f = _parse_f(v.ground, args.f)
     value = choquet(v, f)
     payload = {"choquet": rational_str(value)}
@@ -398,6 +409,13 @@ def cmd_choquet(args, v: SetFunction):
 
 
 def cmd_spectral(args, w: WeightedSpace):
+    from .lawinv import (
+        choquet_product_formula,
+        distribution_of_density,
+        domination_report,
+        spectral_decomposition_check,
+    )
+
     f = _parse_f(w.ground, args.f)
     if not f.is_nonnegative():
         raise DocumentError("--f must be nonnegative for spectral reports")
@@ -448,6 +466,8 @@ def cmd_spectral(args, w: WeightedSpace):
 
 
 def cmd_represent(args, v: SetFunction):
+    from .represent import verify_submodular_equivalence
+
     report = verify_submodular_equivalence(v)
     names = (
         "submodular",
@@ -475,6 +495,8 @@ def cmd_dual(args, v: SetFunction):
 def run_command(args) -> int:
     """Load the subject, compute and render it, then emit and persist once."""
     if args.command == "repro-table":
+        from . import counterexample
+
         subject = counterexample.V0
         doc = serialize_set_function(subject)
     else:

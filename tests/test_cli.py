@@ -4,9 +4,12 @@ import contextlib
 import datetime
 import io
 import json
+import os
 import random
+import subprocess
 import sys
 import tempfile
+import threading
 import types
 from fractions import Fraction
 from pathlib import Path
@@ -14,6 +17,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import chainrep
 from chainrep import (
     GroundSet, SetFunction, cli, is_monotone, is_submodular, verify_submodular_equivalence,
 )
@@ -519,6 +523,11 @@ class TestRepresentCommand:
         assert "consistent: yes" in out
 
 
+# 2026-01-02T03:04:05Z in nanoseconds, the clock that the frozen-clock tests read.
+FROZEN_NS = int(datetime.datetime(
+    2026, 1, 2, 3, 4, 5, tzinfo=datetime.timezone.utc).timestamp()) * 10**9
+
+
 class TestPersistence:
     def test_run_record_written_under_digest(self, tmp_path, capsys, monkeypatch):
         store = tmp_path / "store"
@@ -552,13 +561,7 @@ class TestPersistence:
 
     def test_records_within_one_clock_tick_get_numbered_names(
             self, tmp_path, capsys, monkeypatch):
-        class FrozenClock(datetime.datetime):
-            @classmethod
-            def now(cls, tz=None):
-                return datetime.datetime(2026, 1, 2, 3, 4, 5, 6, tzinfo=tz)
-
-        monkeypatch.setattr(cli, "_dt", types.SimpleNamespace(
-            datetime=FrozenClock, timezone=datetime.timezone))
+        monkeypatch.setattr(cli, "time_ns", lambda: FROZEN_NS + 6_000)
         store = tmp_path / "store4"
         monkeypatch.setenv("CHAINREP_DATA_DIR", str(store))
         path = v2_doc(tmp_path)
@@ -567,8 +570,48 @@ class TestPersistence:
         capsys.readouterr()
         digest = document_digest(json.loads(Path(path).read_text()))
         base = "run-20260102T030405000006"
-        assert sorted(p.name for p in (store / digest).iterdir()) == [
+        records = sorted((store / digest).iterdir())
+        assert [p.name for p in records] == [
             f"{base}-1.json", f"{base}-2.json", f"{base}.json"]
+        assert {json.loads(p.read_text())["timestamp"] for p in records} == {
+            "2026-01-02T03:04:05.000006+00:00"}
+
+    def test_concurrent_records_within_one_clock_tick_all_survive(
+            self, tmp_path, monkeypatch):
+        # Each run claims its name by exclusive create; testing the name
+        # before writing would let two runs share it and lose a record.
+        monkeypatch.setattr(cli, "time_ns", lambda: FROZEN_NS)
+        store = tmp_path / "store5"
+        monkeypatch.setenv("CHAINREP_DATA_DIR", str(store))
+        args = types.SimpleNamespace(command="check", no_persist=False)
+        threads, runs = 8, 25
+        start = threading.Barrier(threads)
+
+        def persist(t):
+            start.wait()
+            for i in range(runs):
+                cli._persist(args, {"doc": 1}, {"run": [t, i]})
+
+        workers = [threading.Thread(target=persist, args=(t,)) for t in range(threads)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for w in workers:
+                w.start()
+            for w in workers:
+                w.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(w.is_alive() for w in workers)
+        records = list((store / document_digest({"doc": 1})).iterdir())
+        base = "run-20260102T030405000000"
+        assert sorted(p.name for p in records) == sorted(
+            [f"{base}.json"] + [f"{base}-{n}.json" for n in range(1, threads * runs)])
+        payloads = [json.loads(p.read_text()) for p in records]
+        assert sorted(r["outputs"]["run"] for r in payloads) == [
+            [t, i] for t in range(threads) for i in range(runs)]
+        # At microsecond 0 the timestamp drops its fraction, as isoformat() does.
+        assert {r["timestamp"] for r in payloads} == {"2026-01-02T03:04:05+00:00"}
 
     def test_unwritable_output_file_exits_two(self, tmp_path, capsys):
         target = tmp_path / "missing" / "dual.json"
@@ -611,6 +654,69 @@ class TestPersistence:
         record, = store.glob("*/run-*.json")
         want = {k: paths.get(v, v) for k, v in parameters.items()}
         assert json.loads(record.read_text())["parameters"] == want
+
+
+def fresh_interpreter(code: str, *argv: str):
+    """Run code with argv in a new interpreter; its last stdout line, as JSON."""
+    src = str(Path(chainrep.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run([sys.executable, "-c", code, *argv], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0 and proc.stderr == "", proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+LOADED = ("import json, sys\n"
+          "print(json.dumps(sorted(m for m in sys.modules if m.startswith('chainrep'))))")
+# What importing the package loads: choquet is bound eagerly, with its imports.
+ROOT_MODULES = {"chainrep", "chainrep.errors", "chainrep.setfn", "chainrep.chains",
+                "chainrep.choquet"}
+
+
+# Each command's arguments, and the modules it loads beyond the package root's.
+COMMAND_MODULES = [
+    (["check", "V2"], {"represent"}),
+    (["iterate", "V0"], {"recursion"}),
+    (["repro-table"], {"recursion", "counterexample"}),
+    (["choquet", "V2", "--f", "1,0,0,0", "--sup", "--risk", "--witness"], set()),
+    (["spectral", "SPACE", "--f", "1,0"], {"lawinv"}),
+    (["represent", "V2"], {"represent"}),
+    (["dual", "V2"], set()),
+]
+
+
+@pytest.mark.parametrize("argv, modules", COMMAND_MODULES,
+                         ids=[argv[0] for argv, _ in COMMAND_MODULES])
+def test_each_command_loads_only_the_modules_it_runs(tmp_path, argv, modules):
+    paths = {"V0": v0_doc(tmp_path), "V2": v2_doc(tmp_path),
+             "SPACE": weighted_doc(tmp_path, ["1", "1"], ["2", "0"])}
+    loaded = fresh_interpreter("import sys\nfrom chainrep.cli import main\n"
+                               "main(sys.argv[1:])\n" + LOADED,
+                               *[paths.get(a, a) for a in argv], "--no-persist")
+    assert set(loaded) == ROOT_MODULES | {"chainrep.cli"} | {f"chainrep.{m}" for m in modules}
+
+
+def test_package_import_loads_only_the_eager_modules():
+    assert set(fresh_interpreter("import chainrep\n" + LOADED)) == ROOT_MODULES
+
+
+def test_every_export_is_its_home_object_after_every_submodule_loads():
+    # Importing a submodule binds it as a package attribute; for choquet,
+    # the one export named like a submodule, that would shadow the function.
+    report = fresh_interpreter(
+        "import importlib, json, pkgutil, sys, types\n"
+        "import chainrep\n"
+        "for mod in pkgutil.iter_modules(chainrep.__path__):\n"
+        "    importlib.import_module(f'chainrep.{mod.name}')\n"
+        "home = chainrep._HOME\n"
+        "print(json.dumps({\n"
+        "    'choquet': isinstance(chainrep.choquet, types.FunctionType),\n"
+        "    'unlisted': sorted(set(home) ^ set(chainrep.__all__)),\n"
+        "    'elsewhere': [n for n in chainrep.__all__ if n in home and getattr(chainrep, n)\n"
+        "                  is not getattr(sys.modules[f'chainrep.{home[n]}'], n)],\n"
+        "}))")
+    assert report == {"choquet": True, "unlisted": [], "elsewhere": []}
 
 
 # Inputs for the exit-code contract: valid documents with m <= 5, each
