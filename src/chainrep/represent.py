@@ -41,9 +41,11 @@ built by doubling inside the lanes, about 4 big-int operations per
 element, and compared with the caps in three more. A lane is wide enough
 for every cap and sum, so no carry crosses it and the result is exact; the
 first violated subset is the lowest failing lane, the same witness as the
-literal scan in bitmask order. So (b) costs m! telescopings of m steps
-each and O(m) big-int operations per chain, and (d) the same per nested
-pair, 3^m of them.
+literal scan in bitmask order. The lanes remember the measures that passed,
+so a repeated measure costs one set lookup. So (b) costs m! telescopings of
+m steps each and O(m) big-int operations per distinct measure, and (d)
+telescopes each nested pair, 3^m of them, with the same lane cost per
+distinct measure of each A.
 
 The chain optima agree with the literal m! sweep, witness chain included;
 the tests check every route against its literal oracle.

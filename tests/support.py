@@ -290,6 +290,12 @@ def lawinv_edge_inputs(
 # ---------------------------------------------------------------------------
 # oracles
 
+def brute_keyed_subsets(ground: GroundSet) -> tuple[list[int], list[str]]:
+    """``GroundSet.keyed_subsets`` by a sort on (cardinality, label tuple)."""
+    order = sorted(ground.subsets(), key=lambda s: (bin(s).count("1"), ground.labels_of(s)))
+    return order, [ground.subset_key(s) for s in order]
+
+
 def brute_monotone(v: SetFunction) -> bool:
     """Quadratic scan over all nested pairs."""
     subs = list(v.ground.subsets())

@@ -289,6 +289,41 @@ class TestRoutesAtLaneEdges:
                     assert d == support.brute_route_d(v, lower)
 
 
+class TestLateFailureBehindRepeatedMeasures:
+    """Every chain of a modular v gives one measure, which the core lanes
+    remember once it passes. Raising v on one large subset L makes only
+    the chains through L leave the lower core, and lowering it only those
+    through L leave the upper core, so the first failing chain and nested
+    pair come after many repeats of the passing measure. They must still
+    be tested, with the oracles' witnesses. On the other side the modular
+    measure itself fails, at the first chain."""
+
+    def test_witnesses_equal_the_oracles(self):
+        m, low = 6, 0b111110  # L: every element but the first
+        rng = random.Random(1300)
+        w = [rng.randint(2, 9) for _ in range(m)]
+        modular = [sum(x for i, x in enumerate(w) if s >> i & 1) for s in range(1 << m)]
+        for lower in (True, False):
+            sign = 1 if lower else -1
+            assert _extremal_measures_in_core(g(m), [sign * x for x in modular]) == (True, None)
+        for shift in (1, -1):
+            ints = list(modular)
+            ints[low] += shift
+            v = SetFunction(g(m), tuple(map(Fraction, ints)))
+            assert is_monotone(v)[0]
+            for lower in (True, False):
+                image = ints if lower else [-x for x in ints]
+                b = _extremal_measures_in_core(g(m), image)
+                d = _local_candidates_in_core(image)
+                assert b == support.brute_route_b(v, lower)
+                assert d == support.brute_route_d(v, lower)
+                assert not d[0]
+                # Late: the first chain through L, after the 120 chains led
+                # by element 0.
+                late = lower == (shift == 1)
+                assert b[1][0].order == ((1, 2, 3, 4, 5, 0) if late else tuple(range(m)))
+
+
 class TestCoreChecksMatchLiteralScan:
     """in_lower_core, in_upper_core and local_core_attainment run one lane
     comparison on the common-denominator image of v and mu; their verdicts

@@ -23,6 +23,7 @@ from chainrep import (
     verify_submodular_equivalence,
     verify_supermodular_equivalence,
 )
+from chainrep import represent, setfn
 from chainrep.cli import parse_set_function_document
 from chainrep.counterexample import GROUND, V0, V1_EXPECTED, V2_EXPECTED
 from chainrep.setfn import (_avoiding_masks, _CoreLanes, _doubling_masks, _Lanes, _top_mask,
@@ -81,11 +82,18 @@ class TestGroundSet:
     def test_keyed_order_matches_the_label_tuple_sort(self, m):
         # String order of these labels differs from their index order.
         ground = GroundSet(("10", "2", "b", "a", "1", "B", "x", "03")[:m])
-        want = sorted(ground.subsets(),
-                      key=lambda s: (bin(s).count("1"), ground.labels_of(s)))
         order, keys = ground.keyed_subsets()
-        assert order == want == ground.subsets_by_cardinality()
-        assert keys == [ground.subset_key(s) for s in want]
+        assert (order, keys) == support.brute_keyed_subsets(ground)
+        assert order == ground.subsets_by_cardinality()
+
+    def test_keyed_order_on_random_label_sets(self):
+        # Numeric strings out of numeric order, case, accents, a prefix of
+        # another label, a space and the empty label.
+        pool = ["9", "10", "a", "B", "é", "e", "Z", "1", "01", "ab", "a b", "", "ä", "100"]
+        rng = random.Random(42)
+        for _ in range(200):
+            ground = GroundSet(tuple(rng.sample(pool, rng.randint(1, 9))))
+            assert ground.keyed_subsets() == support.brute_keyed_subsets(ground)
 
 
 class TestSetFunction:
@@ -413,6 +421,55 @@ class TestFirstClear:
             assert lanes.first_clear(top ^ lane_top << (n - 1) * width, top) == n - 1
             assert lanes.first_clear(rng.getrandbits(bits), 0) is None
             assert lanes.first_clear(top, top) is None
+
+
+class TestPassedMeasures:
+    """``_CoreLanes`` remembers the weight vectors that passed, never one
+    that failed, and at most ``_PASSED_LIMIT`` of them."""
+
+    CAPS = [0, 6, 6, 10, 6, 10, 10, 10]  # min(10, 6|S|) on three elements
+    # Every vector of entries at most 6 summing to 10 stays under the caps.
+    PASSING = [w for w in itertools.product(range(7), repeat=3) if sum(w) == 10]
+
+    def test_a_failing_vector_is_tested_every_time(self):
+        core = _CoreLanes(self.CAPS, 10)
+        for weights in ([7, 3, 0], (7, 3, 0)):
+            assert core.first_escape(weights) == 1
+        assert core.first_escape([0, 3, 7]) == 4
+        assert core.passed == set()
+        assert core.first_escape([4, 3, 3]) is None
+        assert core.first_escape([7, 3, 0]) == 1
+        assert core.passed == {(4, 3, 3)}
+
+    def test_the_memo_stops_at_its_limit(self, monkeypatch):
+        monkeypatch.setattr(setfn, "_PASSED_LIMIT", 4)
+        core = _CoreLanes(self.CAPS, 10)
+        for _ in range(2):
+            for weights in self.PASSING:
+                assert core.first_escape(weights) is None
+                assert len(core.passed) <= 4
+            assert core.first_escape([7, 3, 0]) == 1
+        assert len(self.PASSING) > 4 and len(core.passed) == 4
+
+    @pytest.mark.parametrize("m", (4, 5, 6))
+    def test_routes_match_the_oracles_under_a_small_limit(self, monkeypatch, m):
+        monkeypatch.setattr(setfn, "_PASSED_LIMIT", 4)
+        made = []
+
+        class Recorded(_CoreLanes):
+            def __init__(self, caps, total):
+                super().__init__(caps, total)
+                made.append(self)
+        monkeypatch.setattr(represent, "_CoreLanes", Recorded)
+        for v in support.route_inputs(1200 + m, m, 1):
+            for lower in (True, False):
+                report = (verify_submodular_equivalence(v) if lower
+                          else verify_supermodular_equivalence(v))
+                assert (report.b_holds, report.b_witness) == support.brute_route_b(v, lower)
+                assert (report.c_holds, report.c_witness) == \
+                    support.brute_route_c(v, maximize=lower)
+                assert (report.d_holds, report.d_witness) == support.brute_route_d(v, lower)
+        assert max(len(core.passed) for core in made) == 4
 
 
 def count_packings(monkeypatch) -> list[int]:
