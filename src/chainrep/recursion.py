@@ -13,7 +13,7 @@ rows are packed lanes: O(3^m * m) lane operations, against m! chains for
 each subset in the literal sweep, which the tests keep as the oracle. The
 table refuses ground sets of more than 14 elements (``TABLE_LIMIT``), so a
 step does too; its cost and memory are stated on the table. An iteration
-costs at most its step cap, 2^m steps by default, times one step.
+builds one table per non-submodular iterate, up to its cap (2^m by default).
 """
 
 from __future__ import annotations
@@ -40,9 +40,9 @@ def recursion_step(v: SetFunction) -> SetFunction:
 class RecursionTrace:
     """All iterates of the transform, with per-step submodularity flags.
 
-    ``fixed_point_index`` is the first n with step(v_n) = v_n, or None if
-    the cap interrupted the run. Iterates are pointwise non-decreasing
-    and share the values at the empty and full sets.
+    ``fixed_point_index`` is the first n with v_n submodular, that is with
+    step(v_n) = v_n, or None if the cap interrupted the run. Iterates are
+    pointwise non-decreasing and share the values at the empty and full sets.
     """
 
     iterates: tuple[SetFunction, ...]
@@ -63,12 +63,13 @@ class RecursionTrace:
 def iterate_to_fixed_point(
     v0: SetFunction, max_steps: int | None = None
 ) -> RecursionTrace:
-    """Iterate the transform until the values stop changing.
+    """Iterate the transform until an iterate is submodular.
 
-    Equality is exact over all 2^m rationals. The default cap is 2^m
-    steps; hitting it raises :class:`MaxStepsExceeded` with the partial
-    trace attached. A reached fixed point is always submodular; that is
-    re-checked and a failure would be a bug.
+    Submodular functions are exactly the step's fixed points, so the first
+    submodular iterate ends the run and no step confirms it. ``max_steps``
+    (2^m by default) caps the steps built; hitting it raises
+    :class:`MaxStepsExceeded` with the partial trace attached. A step that
+    returns its non-submodular input would be a bug, and raises.
     """
     if max_steps is not None and max_steps < 0:
         raise ValueError(f"max_steps must be nonnegative, got {max_steps}")
@@ -77,21 +78,20 @@ def iterate_to_fixed_point(
         max_steps = 1 << v0.ground.size
     iterates = [v0]
     flags = [is_submodular(v0)[0]]
-    for _ in range(max_steps):
+    while not flags[-1]:
+        if len(iterates) > max_steps:
+            raise MaxStepsExceeded(
+                f"no fixed point within {max_steps} steps",
+                RecursionTrace(tuple(iterates), tuple(flags), None),
+            )
         nxt = recursion_step(iterates[-1])
         if nxt == iterates[-1]:
-            idx = len(iterates) - 1
-            if not flags[idx]:
-                raise InternalConsistencyError(
-                    "reached a fixed point that is not submodular"
-                )
-            return RecursionTrace(tuple(iterates), tuple(flags), idx)
+            raise InternalConsistencyError(
+                "reached a fixed point that is not submodular"
+            )
         iterates.append(nxt)
         flags.append(is_submodular(nxt)[0])
-    raise MaxStepsExceeded(
-        f"no fixed point within {max_steps} steps",
-        RecursionTrace(tuple(iterates), tuple(flags), None),
-    )
+    return RecursionTrace(tuple(iterates), tuple(flags), len(iterates) - 1)
 
 
 @dataclass(frozen=True)

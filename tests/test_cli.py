@@ -212,10 +212,22 @@ class TestSizeLimits:
         assert len(payload["witness_chain"]) == 16
 
     def test_iterate_refuses_above_the_table_limit(self, tmp_path, capsys):
-        code = main(["iterate", self.doc(tmp_path, 15), "--no-persist"])
+        # A start that is not submodular needs a step, and a step needs the
+        # table: v(A) = |A|^2 is monotone and strictly supermodular.
+        v = SetFunction.from_callable(GroundSet.of_size(15), lambda s: bin(s).count("1") ** 2)
+        path = write_doc(tmp_path, "square15.json", serialize_set_function(v))
+        code = main(["iterate", path, "--no-persist"])
         err = capsys.readouterr().err
         assert code == EXIT_INPUT
         assert "Traceback" not in err and "table" in err
+
+    def test_iterate_answers_a_submodular_start_at_sixteen_elements(self, tmp_path, capsys):
+        code = main(["iterate", self.doc(tmp_path, 16), "--no-persist", "--format", "json"])
+        captured = capsys.readouterr()
+        assert code == EXIT_OK and captured.err == ""
+        payload = json.loads(captured.out)
+        assert payload["fixed_point_index"] == 0
+        assert len(payload["iterates"]) == 1 and payload["submodular_flags"] == [True]
 
     def test_represent_refuses_above_the_sweep_limit(self, tmp_path, capsys):
         code = main(["represent", self.doc(tmp_path, 10), "--no-persist"])

@@ -6,9 +6,11 @@ from itertools import accumulate
 
 import pytest
 
+import chainrep.recursion
 from chainrep import (
     CardinalityProfile,
     GroundSet,
+    InternalConsistencyError,
     MaxStepsExceeded,
     ProfileNotMonotone,
     SetFunction,
@@ -24,6 +26,28 @@ import support
 
 def g(m):
     return GroundSet.of_size(m)
+
+
+@pytest.fixture
+def tables(monkeypatch):
+    """Records the ground size of every 3^m table the recursion builds."""
+    real = chainrep.recursion.chain_opt_all
+    built = []
+
+    def counted(ints):
+        built.append(len(ints).bit_length() - 1)
+        return real(ints)
+    monkeypatch.setattr(chainrep.recursion, "chain_opt_all", counted)
+    return built
+
+
+def confirmed_trace(v):
+    """The recursion run until a step returns its input: the fixed point by
+    its definition, confirmed by one more table."""
+    iterates = [v]
+    while (nxt := recursion_step(iterates[-1])) != iterates[-1]:
+        iterates.append(nxt)
+    return iterates
 
 
 class TestRecursionStep:
@@ -121,6 +145,61 @@ class TestIterateToFixedPoint:
                     support.brute_submodular(it) for it in want)
                 reached.add(len(want))
         assert max(reached) >= 3  # some traces take two steps or more
+
+    def test_first_submodular_iterate_is_the_first_fixed_point(self):
+        # The run stops at the first submodular iterate without building the
+        # step that would confirm it; that iterate is still the first n with
+        # step(v_n) = v_n, so the trace is the one a confirming loop gives.
+        rng = random.Random(109)
+        for m in range(1, 9):
+            for rational in (False, True):
+                for _ in range(3 if m <= 6 else 1):
+                    v = support.random_monotone(rng, g(m), rational=rational)
+                    want = confirmed_trace(v)
+                    trace = iterate_to_fixed_point(v)
+                    assert trace.fixed_point_index == len(want) - 1
+                    assert [it.values for it in trace.iterates] == [it.values for it in want]
+                    assert trace.submodular_flags == tuple(
+                        is_submodular(it)[0] for it in want)
+
+    def test_golden_trace_builds_one_table_per_step(self, tables):
+        iterate_to_fixed_point(V0)
+        assert tables == [4, 4]
+
+    def test_submodular_starts_build_no_table(self, tables):
+        rng = random.Random(113)
+        for m in range(1, 9):
+            for make in (support.random_capped_sum, support.random_coverage,
+                         support.random_modular):
+                trace = iterate_to_fixed_point(make(rng, g(m)))
+                assert trace.fixed_point_index == 0
+                assert trace.submodular_flags == (True,)
+        assert tables == []
+
+    def test_a_step_that_fixes_a_non_submodular_start_raises(self, monkeypatch):
+        monkeypatch.setattr(chainrep.recursion, "chain_opt_all", lambda ints: ints)
+        with pytest.raises(InternalConsistencyError, match="not submodular"):
+            iterate_to_fixed_point(V0)
+
+    def test_cap_counts_the_steps_built(self, tables):
+        trace = iterate_to_fixed_point(V0, max_steps=2)
+        assert trace.fixed_point_index == 2
+        assert trace.fixed_point.values == V2_EXPECTED.values
+        assert tables == [4, 4]
+
+    def test_submodular_start_answers_at_cap_zero(self, tables):
+        v = support.random_capped_sum(random.Random(127), g(5))
+        trace = iterate_to_fixed_point(v, max_steps=0)
+        assert trace.fixed_point_index == 0
+        assert [it.values for it in trace.iterates] == [v.values]
+        assert tables == []
+
+    def test_submodular_start_answers_above_the_table_limit(self, tables):
+        from chainrep.chains import TABLE_LIMIT
+        v = support.wide_capped_sum(random.Random(131), g(TABLE_LIMIT + 2))
+        trace = iterate_to_fixed_point(v)
+        assert trace.fixed_point_index == 0 and len(trace.iterates) == 1
+        assert tables == []
 
     def test_step_cap_raises_with_partial_trace(self):
         with pytest.raises(MaxStepsExceeded) as info:
