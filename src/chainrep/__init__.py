@@ -20,31 +20,6 @@ from .choquet import choquet
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AlphaOutOfRange", "BetaOutOfRange", "CardinalityProfile", "Chain",
-    "ChainConditionError", "ChainrepError", "DiscreteMeasure", "DocumentError",
-    "DominationReport", "EquivalenceReport", "ExchangeWitness", "GroundSet",
-    "GroundSetTooLarge", "InternalConsistencyError", "LayerDecomposition",
-    "LocalCoreReport", "MaxStepsExceeded", "MonotoneWitness", "NegativeValues",
-    "NonMonotoneAlongChain", "NotComonotone", "NotMonotone", "NotNested",
-    "NotSubmodular", "ProfileNotMonotone", "RecursionTrace", "SWEEP_LIMIT", "Scalar",
-    "SearchTooLarge", "SetFunction", "SimpleFunction", "SpectralDecompositionReport",
-    "SpectralMeasure", "StepDistribution", "TiedDensities", "WeightedSpace",
-    "ZeroTotalMass", "as_scalar", "choquet", "choquet_product_formula",
-    "choquet_sup_representation", "comonotone_attainment", "comonotone_check",
-    "cvar_component", "distribution_of_density", "distribution_of_function",
-    "domination_report", "dual_transform", "extremal_measure", "in_lower_core",
-    "in_upper_core", "inf_over_chains", "insert_into_chain", "insert_nested_pair",
-    "is_monotone", "is_null_set", "is_submodular", "is_supermodular",
-    "iterate_to_fixed_point", "kusuoka_measure", "layer_decompose",
-    "local_core_attainment", "local_core_sup", "monotone_approximation", "quantile",
-    "rearrangement_sup", "recursion_step", "risk_measure",
-    "spectral_decomposition_check", "subset_sums", "sup_over_chains",
-    "symmetric_step", "v_mu", "v_mu_integral", "v_mu_set_function",
-    "v_mu_via_quantile", "verify_submodular_equivalence",
-    "verify_supermodular_equivalence",
-]
-
 # The submodule that defines each exported name.
 _HOME = {
     **dict.fromkeys((
@@ -86,6 +61,8 @@ _HOME = {
         "is_supermodular",
     ), "setfn"),
 }
+
+__all__ = sorted(_HOME)
 
 
 def __getattr__(name):

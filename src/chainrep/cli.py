@@ -222,7 +222,10 @@ def _persist(args, doc, outputs) -> None:
     if args.no_persist:
         return
     digest = document_digest(doc)
-    root = Path(os.environ.get("CHAINREP_DATA_DIR") or Path.home() / ".chainrep")
+    try:
+        root = Path(os.environ.get("CHAINREP_DATA_DIR") or Path.home() / ".chainrep")
+    except RuntimeError as exc:  # HOME unset and the uid has no passwd entry
+        raise OSError("run store: no home directory found; set CHAINREP_DATA_DIR") from exc
     directory = root / digest
     directory.mkdir(parents=True, exist_ok=True)
     seconds, micros = divmod(time_ns() // 1000, 1_000_000)
@@ -237,7 +240,7 @@ def _persist(args, doc, outputs) -> None:
         "outputs": outputs,
         "timestamp": strftime("%Y-%m-%dT%H:%M:%S", utc) + fraction + "+00:00",
     }
-    text = json.dumps(record, indent=2, sort_keys=True)
+    text = json.dumps(record, sort_keys=True)
     base = strftime("run-%Y%m%dT%H%M%S", utc) + f"{micros:06d}"
     path, n = directory / f"{base}.json", 0
     while True:
@@ -255,14 +258,36 @@ def _value_row(v: SetFunction, order: list[int]) -> list[str]:
     return [rational_str(v.values[mask]) for mask in order]
 
 
+def _yes(b: bool) -> str:
+    return "yes" if b else "no"
+
+
 def _table(header: list[str], rows: list[list[str]]) -> list[str]:
-    widths = [
-        max(len(header[c]), *(len(r[c]) for r in rows)) if rows else len(header[c])
-        for c in range(len(header))
-    ]
+    widths = [max(map(len, column)) for column in zip(header, *rows)]
     def fmt(cells):
         return "  ".join(c.rjust(w) for c, w in zip(cells, widths))
     return [fmt(header)] + [fmt(r) for r in rows]
+
+
+def _set_function_table(names, functions, extra=None):
+    """Table lines and each row's {subset key: value} of set functions on one ground set.
+
+    ``extra`` is an optional last column: its header and one cell per row.
+    """
+    order, keys = functions[0].ground.keyed_subsets()
+    cells = [_value_row(v, order) for v in functions]
+    header = ["n"] + ["{" + key + "}" for key in keys]
+    rows = [[name] + row for name, row in zip(names, cells)]
+    if extra:
+        header.append(extra[0])
+        rows = [row + [cell] for row, cell in zip(rows, extra[1])]
+    return _table(header, rows), [dict(zip(keys, row)) for row in cells]
+
+
+def _render(values):
+    """Payload entries and table lines of (JSON key, line prefix, rational) triples."""
+    payload = {key: rational_str(x) for key, _, x in values}
+    return payload, [label + payload[key] for key, label, _ in values]
 
 
 # Each cmd_* computes and renders one subject: it returns the payload (the
@@ -275,12 +300,12 @@ def cmd_check(args, v: SetFunction):
     mono, mono_wit = is_monotone(v)
     sub, sub_wit = is_submodular(v)
     payload = {"monotone": mono, "submodular": sub}
-    lines = [f"monotone: {'yes' if mono else 'no'}"]
+    lines = [f"monotone: {_yes(mono)}"]
     if mono_wit:
         small, large = g.subset_key(mono_wit.small), g.subset_key(mono_wit.large)
         lines.append(f"  witness: v({{{small}}}) > v({{{large}}})")
         payload["monotone_witness"] = [small, large]
-    lines.append(f"submodular: {'yes' if sub else 'no'}")
+    lines.append(f"submodular: {_yes(sub)}")
     if sub_wit:
         lines.append(f"  witness: {sub_wit.inequality(g)}")
         payload["submodular_witness"] = [g.subset_key(s) for s in sub_wit.pair_masks()]
@@ -289,13 +314,11 @@ def cmd_check(args, v: SetFunction):
                      f"(route (b) would sweep {g.size}! chains)")
     elif mono:
         report = verify_submodular_equivalence(v)
-        payload["equivalence"] = dict(
-            zip("abcd", report.booleans)
-        )
+        payload["equivalence"] = dict(zip("abcd", report.booleans))
         lines.append(
             "four-way equivalence (submodular / chain measures in core / "
             "chain sup attains / local core attains): "
-            + " ".join("yes" if b else "no" for b in report.booleans)
+            + " ".join(map(_yes, report.booleans))
         )
     return payload, lines, EXIT_OK if sub else EXIT_NEGATIVE
 
@@ -303,8 +326,6 @@ def cmd_check(args, v: SetFunction):
 def cmd_iterate(args, v: SetFunction):
     from .recursion import iterate_to_fixed_point
 
-    order, keys = v.ground.keyed_subsets()
-    header = ["n"] + ["{" + key + "}" for key in keys] + ["submodular"]
     code = EXIT_OK
     try:
         trace = iterate_to_fixed_point(v, args.max_steps)
@@ -312,18 +333,16 @@ def cmd_iterate(args, v: SetFunction):
         # A partial trace is a result, not an error.
         trace = exc.trace
         code = EXIT_STEP_CAP
-    cells = [_value_row(it, order) for it in trace.iterates]
-    rows = [
-        [f"v_{n}"] + row + ["yes" if flag else "no"]
-        for n, (row, flag) in enumerate(zip(cells, trace.submodular_flags))
-    ]
-    lines = _table(header, rows)
+    lines, iterates = _set_function_table(
+        [f"v_{n}" for n in range(len(trace.iterates))], trace.iterates,
+        ("submodular", map(_yes, trace.submodular_flags)),
+    )
     if trace.fixed_point_index is not None:
         lines.append(f"fixed point at n={trace.fixed_point_index}")
     else:
         lines.append("step cap reached before a fixed point (partial trace)")
     payload = {
-        "iterates": [dict(zip(keys, row)) for row in cells],
+        "iterates": iterates,
         "submodular_flags": list(trace.submodular_flags),
         "fixed_point_index": trace.fixed_point_index,
     }
@@ -334,44 +353,29 @@ def cmd_repro_table(args, v0: SetFunction):
     from . import counterexample
     from .recursion import recursion_step
 
-    expected = {
-        "v0": counterexample.V0,
-        "v1": counterexample.V1_EXPECTED,
-        "v2": counterexample.V2_EXPECTED,
-    }
+    rows = ("v0", "v1", "v2")
+    expected = [counterexample.V0, counterexample.V1_EXPECTED, counterexample.V2_EXPECTED]
     if args.self_test:
         # Injected fault: bump one expected cell to prove the diff trips.
         cells = dict(counterexample.V2_CELLS)
         cells["1,2"] += 1
-        expected["v2"] = counterexample._build(cells)
-    actual = {"v0": v0}
-    actual["v1"] = recursion_step(actual["v0"])
-    actual["v2"] = recursion_step(actual["v1"])
-    order, keys = v0.ground.keyed_subsets()
-    diffs = []
-    for row in ("v0", "v1", "v2"):
-        for mask, key in zip(order, keys):
-            want = expected[row].values[mask]
-            got = actual[row].values[mask]
-            if want != got:
-                diffs.append((row, key, want, got))
-    header = ["n"] + ["{" + key + "}" for key in keys]
-    rows = [[row] + _value_row(actual[row], order) for row in ("v0", "v1", "v2")]
-    lines = _table(header, rows)
-    payload = {"cells": 3 * len(order), "mismatches": []}
-    if diffs:
-        for row, key, want, got in diffs:
-            lines.append(
-                f"MISMATCH {row} {{{key}}}: "
-                f"expected {rational_str(want)}, got {rational_str(got)}"
-            )
-            payload["mismatches"].append(
-                {"row": row, "subset": key,
-                 "expected": rational_str(want), "actual": rational_str(got)}
-            )
-    else:
-        lines.append(f"exact match on all {3 * len(order)} cells")
-    return payload, lines, EXIT_NEGATIVE if diffs else EXIT_OK
+        expected[2] = counterexample._build(cells)
+    v1 = recursion_step(v0)
+    lines, actual = _set_function_table(rows, [v0, v1, recursion_step(v1)])
+    # rational_str prints each value in one canonical form, so two cells
+    # are equal exactly when their values are.
+    mismatches = [
+        {"row": row, "subset": key, "expected": want, "actual": got[key]}
+        for row, wanted, got in zip(rows, _set_function_table(rows, expected)[1], actual)
+        for key, want in wanted.items() if want != got[key]
+    ]
+    cells = sum(map(len, actual))
+    lines += [
+        f"MISMATCH {d['row']} {{{d['subset']}}}: expected {d['expected']}, got {d['actual']}"
+        for d in mismatches
+    ] or [f"exact match on all {cells} cells"]
+    payload = {"cells": cells, "mismatches": mismatches}
+    return payload, lines, EXIT_NEGATIVE if mismatches else EXIT_OK
 
 
 def _parse_f(ground: GroundSet, text: str) -> SimpleFunction:
@@ -391,21 +395,17 @@ def cmd_choquet(args, v: SetFunction):
     from .choquet import choquet, choquet_sup_representation, risk_measure
 
     f = _parse_f(v.ground, args.f)
-    value = choquet(v, f)
-    payload = {"choquet": rational_str(value)}
-    lines = [f"choquet integral: {rational_str(value)}"]
+    values = [("choquet", "choquet integral: ", choquet(v, f))]
     if args.sup:
         sup_val, chain = choquet_sup_representation(v, f)
-        payload["chain_supremum"] = rational_str(sup_val)
-        lines.append(f"chain supremum: {rational_str(sup_val)}")
-        if args.witness:
-            payload["witness_chain"] = list(chain.label_order())
-            lines.append(f"attaining chain: {','.join(chain.label_order())}")
-    if args.risk:
-        rho = risk_measure(v, f)
-        payload["risk"] = rational_str(rho)
-        lines.append(f"risk measure: {rational_str(rho)}")
-    return payload, lines, EXIT_OK
+        values.append(("chain_supremum", "chain supremum: ", sup_val))
+    risk = [("risk", "risk measure: ", risk_measure(v, f))] if args.risk else []
+    payload, lines = _render(values)
+    if args.sup and args.witness:
+        payload["witness_chain"] = list(chain.label_order())
+        lines.append(f"attaining chain: {','.join(chain.label_order())}")
+    risk_payload, risk_lines = _render(risk)
+    return payload | risk_payload, lines + risk_lines, EXIT_OK
 
 
 def cmd_spectral(args, w: WeightedSpace):
@@ -423,45 +423,35 @@ def cmd_spectral(args, w: WeightedSpace):
     decomposition = spectral_decomposition_check(w, f)
     direct = decomposition.direct
     product = choquet_product_formula(w, f)
-    # The spectral atoms, in order, are those the decomposition ran over.
-    atoms = [(alpha, mass) for alpha, mass, _ in decomposition.components]
     dom = domination_report(w, f)
+    r = rational_str
     # spectral_decomposition_check has already matched direct and by_components.
     if direct != product:
         raise InternalConsistencyError(
-            f"direct={rational_str(direct)} "
-            f"product={rational_str(product)} "
-            f"spectral={rational_str(decomposition.by_components)}"
+            f"direct={r(direct)} product={r(product)} "
+            f"spectral={r(decomposition.by_components)}"
         )
-    r = rational_str
+    breakpoints = list(map(r, dist.breakpoints))
+    levels = list(map(r, dist.levels))
+    # The spectral atoms, in order, are those the decomposition ran over.
+    atoms = [[r(alpha), r(mass)] for alpha, mass, _ in decomposition.components]
+    integrals, integral_lines = _render([
+        ("integral", "integral, layer route:    ", direct),
+        ("integral_product_route", "integral, product route:  ", product),
+        ("integral_spectral_route", "integral, spectral route: ", decomposition.by_components),
+        ("paired_integral", "integral against mu:      ", dom.paired_integral),
+        ("rearrangement_supremum", "equal-distribution sup:   ", dom.rearrangement_supremum),
+    ])
     lines = ["distribution of the density:"]
-    for bp, lv in zip(dist.breakpoints, dist.levels):
-        lines.append(f"  F({r(bp)}) = {r(lv)}")
+    lines += [f"  F({bp}) = {lv}" for bp, lv in zip(breakpoints, levels)]
     lines.append("quantile segments (lo <= beta < hi -> value):")
-    for lo, hi, z in dist.quantile_segments():
-        lines.append(f"  [{r(lo)}, {r(hi)}) -> {r(z)}")
+    lines += [f"  [{r(lo)}, {r(hi)}) -> {r(z)}" for lo, hi, z in dist.quantile_segments()]
     lines.append("spectral atoms (level: mass):")
-    for alpha, mass in atoms:
-        lines.append(f"  {r(alpha)}: {r(mass)}")
-    lines.append(f"integral, layer route:    {r(direct)}")
-    lines.append(f"integral, product route:  {r(product)}")
-    lines.append(f"integral, spectral route: {r(decomposition.by_components)}")
-    lines.append(f"integral against mu:      {r(dom.paired_integral)}")
-    lines.append(f"equal-distribution sup:   {r(dom.rearrangement_supremum)}")
+    lines += [f"  {alpha}: {mass}" for alpha, mass in atoms]
+    lines += integral_lines
     if dom.gap_to_paired > 0:
         lines.append(f"strict gap above the mu pairing: {r(dom.gap_to_paired)}")
-    payload = {
-        "breakpoints": [rational_str(b) for b in dist.breakpoints],
-        "levels": [rational_str(l) for l in dist.levels],
-        "atoms": [
-            [rational_str(a), rational_str(m)] for a, m in atoms
-        ],
-        "integral": rational_str(direct),
-        "integral_product_route": rational_str(product),
-        "integral_spectral_route": rational_str(decomposition.by_components),
-        "paired_integral": rational_str(dom.paired_integral),
-        "rearrangement_supremum": rational_str(dom.rearrangement_supremum),
-    }
+    payload = {"breakpoints": breakpoints, "levels": levels, "atoms": atoms, **integrals}
     return payload, lines, EXIT_OK
 
 
@@ -469,21 +459,11 @@ def cmd_represent(args, v: SetFunction):
     from .represent import verify_submodular_equivalence
 
     report = verify_submodular_equivalence(v)
-    names = (
-        "submodular",
-        "chain measures in lower core",
-        "chain suprema attain v",
-        "local cores attained",
-    )
-    lines = [
-        f"{name}: {'yes' if b else 'no'}"
-        for name, b in zip(names, report.booleans)
-    ]
-    lines.append(f"consistent: {'yes' if report.consistent else 'no'}")
-    payload = {
-        "booleans": dict(zip("abcd", report.booleans)),
-        "consistent": report.consistent,
-    }
+    names = ("submodular", "chain measures in lower core", "chain suprema attain v",
+             "local cores attained")
+    lines = [f"{name}: {_yes(b)}" for name, b in zip(names, report.booleans)]
+    lines.append(f"consistent: {_yes(report.consistent)}")
+    payload = {"booleans": dict(zip("abcd", report.booleans)), "consistent": report.consistent}
     return payload, lines, EXIT_OK if report.all_hold else EXIT_NEGATIVE
 
 

@@ -643,6 +643,30 @@ class TestPersistence:
         assert err.startswith("cannot write: ") and str(store) in err
         assert "Traceback" not in err
 
+    def test_missing_home_directory_exits_two(self, capsys, monkeypatch):
+        # Path.home() raises RuntimeError when HOME is unset and the uid
+        # has no passwd entry.
+        def no_home():
+            raise RuntimeError("Could not determine home directory.")
+        monkeypatch.delenv("CHAINREP_DATA_DIR")
+        monkeypatch.setattr(Path, "home", no_home)
+        code = main(["repro-table"])
+        out, err = capsys.readouterr()
+        assert code == EXIT_INPUT
+        assert out.startswith(" n  {}")
+        assert err.startswith("cannot write: ") and "no home directory" in err
+        assert "Traceback" not in err
+
+    def test_record_is_one_line_of_sorted_json(self, tmp_path, capsys, monkeypatch):
+        store = tmp_path / "store"
+        monkeypatch.setenv("CHAINREP_DATA_DIR", str(store))
+        assert main(["check", v2_doc(tmp_path)]) == EXIT_OK
+        capsys.readouterr()
+        record, = store.glob("*/run-*.json")
+        text = record.read_text()
+        assert "\n" not in text
+        assert text == json.dumps(json.loads(text), sort_keys=True)
+
     @pytest.mark.parametrize("argv, parameters", [
         (["check", "V2"], {"file": "V2"}),
         (["represent", "V2"], {"file": "V2"}),
