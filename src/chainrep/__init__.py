@@ -32,10 +32,10 @@ _HOME = {
     ), "choquet"),
     **dict.fromkeys((
         "AlphaOutOfRange", "BetaOutOfRange", "ChainConditionError", "ChainrepError",
-        "DocumentError", "GroundSetTooLarge", "InternalConsistencyError",
-        "MaxStepsExceeded", "NegativeValues", "NonMonotoneAlongChain", "NotComonotone",
-        "NotMonotone", "NotNested", "NotSubmodular", "ProfileNotMonotone",
-        "SearchTooLarge", "TiedDensities", "ZeroTotalMass",
+        "DocumentError", "GroundSetTooLarge", "InternalConsistencyError", "NegativeValues",
+        "NonMonotoneAlongChain", "NotComonotone", "NotMonotone", "NotNested",
+        "NotSubmodular", "ProfileNotMonotone", "SearchTooLarge", "TiedDensities",
+        "ZeroTotalMass",
     ), "errors"),
     **dict.fromkeys((
         "DominationReport", "SpectralDecompositionReport", "SpectralMeasure",

@@ -44,7 +44,6 @@ from .errors import (
     ChainrepError,
     DocumentError,
     InternalConsistencyError,
-    MaxStepsExceeded,
     NotSubmodular,
     ZeroTotalMass,
 )
@@ -94,11 +93,6 @@ def rational_str(x: Fraction) -> str:
 def _parse_ground(obj, where: str) -> GroundSet:
     if not isinstance(obj, list) or not all(isinstance(s, str) for s in obj):
         raise DocumentError(f"{where}: ground_set must be a list of strings")
-    for lab in obj:
-        if not lab or "," in lab:
-            raise DocumentError(
-                f"{where}: label {lab!r} must be nonempty and comma-free"
-            )
     try:
         return GroundSet(tuple(obj))
     except ValueError as exc:
@@ -191,10 +185,19 @@ def document_digest(obj) -> str:
     return hashlib.sha256(canon.encode()).hexdigest()
 
 
+def _unique_keys(pairs: list) -> dict:
+    """A JSON object's dict; a key given twice is refused."""
+    obj, seen = dict(pairs), set()
+    if len(obj) < len(pairs):
+        key = next(k for k, _ in pairs if k in seen or seen.add(k))
+        raise ValueError(f"repeated key {key!r}")
+    return obj
+
+
 def _load_document(path: str):
     try:
         with open(path, encoding="utf-8") as fh:
-            return json.load(fh)
+            return json.load(fh, object_pairs_hook=_unique_keys)
     except OSError as exc:
         raise DocumentError(f"cannot read {path}: {exc}") from exc
     except (ValueError, RecursionError) as exc:  # also bad UTF-8, huge or deep literals
@@ -326,18 +329,12 @@ def cmd_check(args, v: SetFunction):
 def cmd_iterate(args, v: SetFunction):
     from .recursion import iterate_to_fixed_point
 
-    code = EXIT_OK
-    try:
-        trace = iterate_to_fixed_point(v, args.max_steps)
-    except MaxStepsExceeded as exc:
-        # A partial trace is a result, not an error.
-        trace = exc.trace
-        code = EXIT_STEP_CAP
+    trace = iterate_to_fixed_point(v, args.max_steps)
     lines, iterates = _set_function_table(
         [f"v_{n}" for n in range(len(trace.iterates))], trace.iterates,
         ("submodular", map(_yes, trace.submodular_flags)),
     )
-    if trace.fixed_point_index is not None:
+    if trace.reached_fixed_point:
         lines.append(f"fixed point at n={trace.fixed_point_index}")
     else:
         lines.append("step cap reached before a fixed point (partial trace)")
@@ -346,7 +343,7 @@ def cmd_iterate(args, v: SetFunction):
         "submodular_flags": list(trace.submodular_flags),
         "fixed_point_index": trace.fixed_point_index,
     }
-    return payload, lines, code
+    return payload, lines, EXIT_OK if trace.reached_fixed_point else EXIT_STEP_CAP
 
 
 def cmd_repro_table(args, v0: SetFunction):
@@ -354,20 +351,18 @@ def cmd_repro_table(args, v0: SetFunction):
     from .recursion import recursion_step
 
     rows = ("v0", "v1", "v2")
-    expected = [counterexample.V0, counterexample.V1_EXPECTED, counterexample.V2_EXPECTED]
+    expected = [counterexample.V0_CELLS, counterexample.V1_CELLS, counterexample.V2_CELLS]
     if args.self_test:
         # Injected fault: bump one expected cell to prove the diff trips.
-        cells = dict(counterexample.V2_CELLS)
-        cells["1,2"] += 1
-        expected[2] = counterexample._build(cells)
+        expected[2] = expected[2] | {"1,2": expected[2]["1,2"] + 1}
     v1 = recursion_step(v0)
     lines, actual = _set_function_table(rows, [v0, v1, recursion_step(v1)])
-    # rational_str prints each value in one canonical form, so two cells
-    # are equal exactly when their values are.
+    # rational_str prints each value in one canonical form, as str does the
+    # integer golden cells, so two cells are equal exactly when their values are.
     mismatches = [
-        {"row": row, "subset": key, "expected": want, "actual": got[key]}
-        for row, wanted, got in zip(rows, _set_function_table(rows, expected)[1], actual)
-        for key, want in wanted.items() if want != got[key]
+        {"row": row, "subset": key, "expected": str(want), "actual": got[key]}
+        for row, wanted, got in zip(rows, expected, actual)
+        for key, want in wanted.items() if str(want) != got[key]
     ]
     cells = sum(map(len, actual))
     lines += [
@@ -394,6 +389,8 @@ def _parse_f(ground: GroundSet, text: str) -> SimpleFunction:
 def cmd_choquet(args, v: SetFunction):
     from .choquet import choquet, choquet_sup_representation, risk_measure
 
+    if args.witness and not args.sup:
+        raise DocumentError("--witness needs --sup")
     f = _parse_f(v.ground, args.f)
     values = [("choquet", "choquet integral: ", choquet(v, f))]
     if args.sup:
@@ -401,7 +398,7 @@ def cmd_choquet(args, v: SetFunction):
         values.append(("chain_supremum", "chain supremum: ", sup_val))
     risk = [("risk", "risk measure: ", risk_measure(v, f))] if args.risk else []
     payload, lines = _render(values)
-    if args.sup and args.witness:
+    if args.witness:
         payload["witness_chain"] = list(chain.label_order())
         lines.append(f"attaining chain: {','.join(chain.label_order())}")
     risk_payload, risk_lines = _render(risk)

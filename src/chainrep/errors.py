@@ -70,13 +70,3 @@ class InternalConsistencyError(ChainrepError):
 class DocumentError(ChainrepError):
     """A document failed to parse or violates its schema."""
 
-
-class MaxStepsExceeded(ChainrepError):
-    """Recursion hit the step cap before reaching a fixed point.
-
-    Carries the partial trace computed so far in ``trace``.
-    """
-
-    def __init__(self, message: str, trace=None):
-        super().__init__(message)
-        self.trace = trace

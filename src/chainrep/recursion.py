@@ -13,7 +13,8 @@ rows are packed lanes: O(3^m * m) lane operations, against m! chains for
 each subset in the literal sweep, which the tests keep as the oracle. The
 table refuses ground sets of more than 14 elements (``TABLE_LIMIT``), so a
 step does too; its cost and memory are stated on the table. An iteration
-builds one table per non-submodular iterate, up to its cap (2^m by default).
+builds one table per non-submodular iterate, up to its cap (2^m by default),
+and a run that the cap stops returns its partial trace.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from fractions import Fraction
 from itertools import accumulate
 
 from .chains import chain_opt_all
-from .errors import InternalConsistencyError, MaxStepsExceeded, ProfileNotMonotone
+from .errors import InternalConsistencyError, ProfileNotMonotone
 from .setfn import (
     GroundSet, SetFunction, as_scalar, is_submodular, require_monotone,
 )
@@ -38,15 +39,15 @@ def recursion_step(v: SetFunction) -> SetFunction:
 
 @dataclass(frozen=True)
 class RecursionTrace:
-    """All iterates of the transform, with per-step submodularity flags.
+    """The iterates of the transform, and where the run ended.
 
     ``fixed_point_index`` is the first n with v_n submodular, that is with
-    step(v_n) = v_n, or None if the cap interrupted the run. Iterates are
-    pointwise non-decreasing and share the values at the empty and full sets.
+    step(v_n) = v_n, or None if the cap interrupted the run; no earlier
+    iterate is submodular. Iterates are pointwise non-decreasing and share
+    the values at the empty and full sets.
     """
 
     iterates: tuple[SetFunction, ...]
-    submodular_flags: tuple[bool, ...]
     fixed_point_index: int | None
 
     @property
@@ -59,6 +60,10 @@ class RecursionTrace:
             return None
         return self.iterates[self.fixed_point_index]
 
+    @property
+    def submodular_flags(self) -> tuple[bool, ...]:
+        return (False,) * (len(self.iterates) - 1) + (self.reached_fixed_point,)
+
 
 def iterate_to_fixed_point(
     v0: SetFunction, max_steps: int | None = None
@@ -67,9 +72,10 @@ def iterate_to_fixed_point(
 
     Submodular functions are exactly the step's fixed points, so the first
     submodular iterate ends the run and no step confirms it. ``max_steps``
-    (2^m by default) caps the steps built; hitting it raises
-    :class:`MaxStepsExceeded` with the partial trace attached. A step that
-    returns its non-submodular input would be a bug, and raises.
+    (2^m by default) caps the steps built; a run that reaches the cap first
+    returns its partial trace, with ``fixed_point_index`` None. Each iterate
+    gets one exchange test. A step that returns its non-submodular input
+    would be a bug, and raises.
     """
     if max_steps is not None and max_steps < 0:
         raise ValueError(f"max_steps must be nonnegative, got {max_steps}")
@@ -77,21 +83,16 @@ def iterate_to_fixed_point(
     if max_steps is None:
         max_steps = 1 << v0.ground.size
     iterates = [v0]
-    flags = [is_submodular(v0)[0]]
-    while not flags[-1]:
+    while not is_submodular(iterates[-1])[0]:
         if len(iterates) > max_steps:
-            raise MaxStepsExceeded(
-                f"no fixed point within {max_steps} steps",
-                RecursionTrace(tuple(iterates), tuple(flags), None),
-            )
+            return RecursionTrace(tuple(iterates), None)
         nxt = recursion_step(iterates[-1])
         if nxt == iterates[-1]:
             raise InternalConsistencyError(
                 "reached a fixed point that is not submodular"
             )
         iterates.append(nxt)
-        flags.append(is_submodular(nxt)[0])
-    return RecursionTrace(tuple(iterates), tuple(flags), len(iterates) - 1)
+    return RecursionTrace(tuple(iterates), len(iterates) - 1)
 
 
 @dataclass(frozen=True)

@@ -395,6 +395,9 @@ class GroundSet:
 
     def __post_init__(self):
         object.__setattr__(self, "elements", tuple(self.elements))
+        for lab in self.elements:  # else two subsets could share a subset_key
+            if not lab or "," in lab:
+                raise ValueError(f"label {lab!r} must be nonempty and comma-free")
         if not 1 <= len(self.elements) <= MAX_GROUND_SIZE:
             raise ValueError(
                 f"ground set size must be in 1..{MAX_GROUND_SIZE}, "

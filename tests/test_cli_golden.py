@@ -1,9 +1,10 @@
 """Golden output of every CLI command: exit code, stdout and stderr, byte for byte.
 
 Each case runs ``main`` in process with ``--no-persist`` on one of the fixed
-documents below, in both output formats. The expected outputs live in
-``cli_golden.json`` next to this file. After a deliberate change of output,
-rewrite that file with
+documents below, in both output formats, from the directory that holds the
+documents, so that a message naming a document names it by its file name.
+The expected outputs live in ``cli_golden.json`` next to this file. After a
+deliberate change of output, rewrite that file with
 
     PYTHONPATH=src python tests/test_cli_golden.py
 
@@ -54,6 +55,9 @@ DOCUMENTS = {
     "SPACE3": {"ground_set": ["x", "y", "z"],
                "nu": ["1", "2", "1"], "density": ["2", "1/2", "1"]},
     "CAPPED10": capped_sum(10, 30),
+    # Written as it stands: a dict cannot hold the repeated key.
+    "REPEATED": '{"ground_set": ["1", "2"], '
+                '"values": {"": "0", "1": "1", "2": "1", "1,2": "3/2", "1,2": "5"}}',
 }
 
 SET_FUNCTION_RUNS = [
@@ -74,7 +78,8 @@ RUNS = (
        ["spectral", "SPACE3", "--f=1,-1,0"],
        ["check", "CAPPED10"], ["represent", "CAPPED10"],
        ["repro-table"], ["repro-table", "--self-test"],
-       ["iterate", "V0", "--max-steps", "-1"]]
+       ["iterate", "V0", "--max-steps", "-1"],
+       ["check", "REPEATED"], ["choquet", "V0", "--f=1,0,0,0", "--witness"]]
 )
 ARGVS = [run + ["--format", fmt] for run in RUNS for fmt in ("table", "json")]
 
@@ -91,22 +96,27 @@ def run(argv, paths):
 
 
 def write_documents(directory):
+    """Write every document into directory; returns the file name of each."""
     paths = {}
     for name, doc in DOCUMENTS.items():
-        paths[name] = str(directory / f"{name.lower()}.json")
-        Path(paths[name]).write_text(json.dumps(doc))
+        paths[name] = f"{name.lower()}.json"
+        text = doc if isinstance(doc, str) else json.dumps(doc)
+        (directory / paths[name]).write_text(text)
     return paths
 
 
 @pytest.fixture(scope="module")
-def paths(tmp_path_factory):
-    return write_documents(tmp_path_factory.mktemp("golden"))
+def documents(tmp_path_factory):
+    directory = tmp_path_factory.mktemp("golden")
+    return directory, write_documents(directory)
 
 
-@pytest.fixture(autouse=True)
-def _fixed_width(monkeypatch):
+@pytest.fixture
+def paths(documents, monkeypatch):
     # argparse wraps its usage line at the terminal width; this one fits unwrapped.
     monkeypatch.setenv("COLUMNS", "200")
+    monkeypatch.chdir(documents[0])
+    return documents[1]
 
 
 EXPECTED = json.loads(GOLDEN.read_text()) if GOLDEN.exists() else []
@@ -128,6 +138,7 @@ if __name__ == "__main__":
     os.environ["COLUMNS"] = "200"
     with tempfile.TemporaryDirectory() as tmp:
         paths = write_documents(Path(tmp))
+        os.chdir(tmp)
         cases = [run(argv, paths) for argv in ARGVS]
     GOLDEN.write_text(json.dumps(cases, indent=1) + "\n")
     print(f"wrote {len(cases)} cases to {GOLDEN}", file=sys.stderr)

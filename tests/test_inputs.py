@@ -177,6 +177,9 @@ REFUSALS = {
     "CardinalityProfile ground size": (
         lambda: CardinalityProfile((0, 1, 2)).to_set_function(GROUND),
         ValueError, "ground set size does not match the profile"),
+    "GroundSet empty label": (
+        lambda: GroundSet(("",)),
+        ValueError, "label '' must be nonempty and comma-free"),
     "in_lower_core foreign measure": (
         lambda: in_lower_core(V, DiscreteMeasure(OTHER, (1, 1))),
         ValueError, "set function and measure live on different ground sets"),
@@ -191,8 +194,8 @@ def test_malformed_arguments_are_refused(name):
     assert info.type is kind
 
 
-# Each row: the command with its options, the document and a fragment of
-# the message.
+# Each row: the command with its options, the document (JSON text where it
+# repeats a key, which a dict cannot) and a fragment of the message.
 DOCUMENT_REFUSALS = {
     "ground_set not a list": (
         ["check"], {"ground_set": "12", "values": {}},
@@ -218,6 +221,21 @@ DOCUMENT_REFUSALS = {
     "weighted space without nu": (
         ["spectral", "--f", "1"], {"ground_set": ["1"], "density": ["1"]},
         "weighted-space document needs 'nu'"),
+    "choquet --witness without --sup": (
+        ["choquet", "--f=1,2", "--witness"],
+        {"ground_set": ["1", "2"], "values": {"": "0", "1": "1", "2": "1", "1,2": "2"}},
+        "input error: --witness needs --sup"),
+    "repeated key in values": (
+        ["check"], '{"ground_set": ["1", "2"], '
+                   '"values": {"": "0", "1": "1", "2": "1", "1,2": "3/2", "1,2": "5"}}',
+        "invalid JSON: repeated key '1,2'"),
+    "repeated ground_set": (
+        ["check"], '{"ground_set": ["1"], "ground_set": ["1", "2"], '
+                   '"values": {"": "0", "1": "1"}}',
+        "invalid JSON: repeated key 'ground_set'"),
+    "repeated key in a weighted space": (
+        ["spectral", "--f", "1"], '{"ground_set": ["1"], "nu": ["1"], "nu": ["2"], "density": ["1"]}',
+        "invalid JSON: repeated key 'nu'"),
 }
 
 
@@ -225,9 +243,10 @@ DOCUMENT_REFUSALS = {
 def test_malformed_documents_exit_two(name, tmp_path, capsys):
     argv, doc, fragment = DOCUMENT_REFUSALS[name]
     path = tmp_path / "doc.json"
-    path.write_text(json.dumps(doc))
+    path.write_text(doc if isinstance(doc, str) else json.dumps(doc))
     code = main([argv[0], str(path), *argv[1:], "--no-persist"])
     out, err = capsys.readouterr()
     assert code == EXIT_INPUT and out == ""
     assert err.startswith("input error: ") and fragment in err
     assert "Traceback" not in err
+

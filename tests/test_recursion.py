@@ -11,7 +11,6 @@ from chainrep import (
     CardinalityProfile,
     GroundSet,
     InternalConsistencyError,
-    MaxStepsExceeded,
     ProfileNotMonotone,
     SetFunction,
     is_submodular,
@@ -201,14 +200,28 @@ class TestIterateToFixedPoint:
         assert trace.fixed_point_index == 0 and len(trace.iterates) == 1
         assert tables == []
 
-    def test_step_cap_raises_with_partial_trace(self):
-        with pytest.raises(MaxStepsExceeded) as info:
-            iterate_to_fixed_point(V0, max_steps=1)
-        trace = info.value.trace
+    def test_step_cap_returns_partial_trace(self):
+        trace = iterate_to_fixed_point(V0, max_steps=1)
         assert trace.fixed_point_index is None
         assert not trace.reached_fixed_point and trace.fixed_point is None
         assert len(trace.iterates) == 2
         assert trace.iterates[1].values == V1_EXPECTED.values
+        assert trace.submodular_flags == (False, False)
+
+    def test_capped_runs_are_prefixes_of_the_uncapped_run(self):
+        rng = random.Random(137)
+        for m in range(1, 7):
+            for rational in (False, True):
+                for _ in range(4):
+                    v = support.random_monotone(rng, g(m), rational=rational)
+                    full = iterate_to_fixed_point(v)
+                    steps = full.fixed_point_index
+                    for cap in range(steps + 1):
+                        trace = iterate_to_fixed_point(v, max_steps=cap)
+                        assert trace.iterates == full.iterates[:cap + 1]
+                        assert trace.reached_fixed_point == (cap == steps)
+                        assert trace.submodular_flags == tuple(
+                            is_submodular(it)[0] for it in trace.iterates)
 
     def test_partial_exchange_inequalities_after_one_step(self):
         # After one step, pairs that are disjoint, cover everything, or

@@ -24,7 +24,7 @@ from chainrep import (
     verify_supermodular_equivalence,
 )
 from chainrep import represent, setfn
-from chainrep.cli import parse_set_function_document
+from chainrep.cli import parse_set_function_document, serialize_set_function
 from chainrep.counterexample import GROUND, V0, V1_EXPECTED, V2_EXPECTED
 from chainrep.setfn import (_avoiding_masks, _CoreLanes, _doubling_masks, _Lanes, _top_mask,
                             int_image)
@@ -86,14 +86,22 @@ class TestGroundSet:
         assert (order, keys) == support.brute_keyed_subsets(ground)
         assert order == ground.subsets_by_cardinality()
 
+    # Numeric strings out of numeric order, case, accents, a prefix of
+    # another label and a space.
+    LABEL_POOL = ["9", "10", "a", "B", "é", "e", "Z", "1", "01", "ab", "a b", "ä", "100"]
+
     def test_keyed_order_on_random_label_sets(self):
-        # Numeric strings out of numeric order, case, accents, a prefix of
-        # another label, a space and the empty label.
-        pool = ["9", "10", "a", "B", "é", "e", "Z", "1", "01", "ab", "a b", "", "ä", "100"]
         rng = random.Random(42)
         for _ in range(200):
-            ground = GroundSet(tuple(rng.sample(pool, rng.randint(1, 9))))
+            ground = GroundSet(tuple(rng.sample(self.LABEL_POOL, rng.randint(1, 9))))
             assert ground.keyed_subsets() == support.brute_keyed_subsets(ground)
+
+    def test_documents_round_trip_on_random_label_sets(self):
+        rng = random.Random(43)
+        for _ in range(100):
+            ground = GroundSet(tuple(rng.sample(self.LABEL_POOL, rng.randint(1, 7))))
+            v = support.random_monotone(rng, ground, rational=True)
+            assert parse_set_function_document(serialize_set_function(v)) == v
 
 
 class TestSetFunction:

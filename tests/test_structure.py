@@ -152,7 +152,7 @@ def test_cli_maps_exceptions_to_exit_codes_only_in_main():
         for node in ast.walk(fn) if isinstance(node, ast.Try)
         for handler in node.handlers
     )
-    assert handlers == [("cmd_iterate", "MaxStepsExceeded")]
+    assert handlers == []
     pipeline = {"_load_document", "parse_set_function_document",
                 "parse_weighted_space_document", "_emit", "_persist"}
     called = {(name, node.func.id) for name, fn in commands.items()
