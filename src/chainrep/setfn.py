@@ -66,18 +66,23 @@ failing input at m = 8 takes about 0.02 ms.
 
 The all-subsets table of chain optima runs on the same lane arithmetic
 (:class:`_LaneRows`): each row is one int, and one spread, add and lane-wise
-maximum per element builds a row from its children.
+maximum per element builds a row from its children. Route (d) of
+:mod:`chainrep.represent` packs the subset sums of many nested pairs side
+by side, one int per pass (:func:`_first_nested_escape`).
 """
 
 from __future__ import annotations
 
 import sys
 from array import array
+from bisect import bisect_left
 from copy import copy
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
+from itertools import chain
 from math import gcd, lcm
+from operator import itemgetter
 from typing import Callable, Iterable, Sequence, Union
 
 from .errors import NotMonotone
@@ -132,7 +137,8 @@ def _masks(builder: Callable[[int, int], object], width: int, n: int):
 
 @lru_cache(maxsize=64)
 def _top_mask(width: int, n: int) -> int:
-    """The top bit of every lane, shared by :class:`_Lanes` and :class:`_LaneRows`."""
+    """The top bit of every lane, shared by :class:`_Lanes`, :class:`_LaneRows`
+    and the passes of :func:`_first_nested_escape`."""
     return _lane_mask((1 << width - 1).to_bytes(width // 8, "little"), n)
 
 
@@ -187,8 +193,10 @@ class _Lanes:
     64 bits, and 2.0 MB and 8.0 MB for 2^16 lanes; the 8 sets its cache
     keeps come to at most 40 MB (every width at 2^16 lanes). A ``top`` or
     ``doubling`` entry is about one lane mask, and their 64 and 32 entries
-    at most 4.8 MB and 4.6 MB. Wider masks grow with the values, so they
-    are built per call and dropped.
+    at most 4.8 MB and 4.6 MB. The passes of :func:`_first_nested_escape`
+    add ``top`` entries of at most 1 MB, twice ``_PAIR_PASS_BYTES``, and
+    under 2 MB per width. Wider masks grow with the values, so they are
+    built per call and dropped.
 
     A :class:`SetFunction` keeps the lanes of its image once packed; the
     negated lanes and the core lanes are built per call.
@@ -276,6 +284,9 @@ class _CoreLanes(_Lanes):
     failing tuple is never added, so its first occurrence returns its lane.
     At most ``_PASSED_LIMIT`` = 2^13 tuples are kept; later ones are tested
     but not remembered: about 3 MB at m = 9 when all 9! measures differ.
+    The memo serves route (b), the single core checks of
+    :mod:`chainrep.represent`, and the classes of route (d) whose pairs
+    have wide lanes (see :func:`_first_nested_escape`).
     """
 
     def __init__(self, caps: Sequence[int], total: int):
@@ -300,6 +311,182 @@ class _CoreLanes(_Lanes):
         if k is None and len(self.passed) < _PASSED_LIMIT:
             self.passed.add(key)
         return k
+
+
+# Most lane bytes one pass of :func:`_first_nested_escape` holds.
+_PAIR_PASS_BYTES = 1 << 19
+
+# Lane bytes of one nested pair from which :func:`_first_nested_escape`
+# tests a class one pair at a time.
+_PAIR_LANE_BYTES = 512
+
+# 1 for a byte whose top bit is clear: read off a lane's top byte, a failure.
+_FAILS = bytes(b < 128 for b in range(256))
+
+
+@lru_cache(maxsize=32)
+def _class_subsets(m: int, n: int) -> tuple[list[int], tuple[int, ...]]:
+    """The K sets A with |A| = n of m elements in bitmask order, and their submasks.
+
+    Local index c stands for the c-th submask of an A in increasing order,
+    so bit k of c stands for the k-th element of A; ``subs[c * K + t]`` is
+    that submask of the t-th A.
+    """
+    masks = [a for a in range(1 << m) if a.bit_count() == n]
+    lists = []
+    for a in masks:
+        subs = [0]
+        for i in range(m):
+            if a >> i & 1:
+                subs += [s | 1 << i for s in subs]
+        lists.append(subs)
+    return masks, tuple(chain.from_iterable(zip(*lists)))
+
+
+@lru_cache(maxsize=32)
+def _nested_pairs(m: int, n: int) -> tuple[tuple, list]:
+    """The nested pairs B <= A with |A| = n of m elements, as index tuples into v.
+
+    With B the j-th submask of the t-th A (see :func:`_class_subsets`),
+    the chain that lists B, then A - B, gives element k the weight
+    ``v[hi[i]] - v[lo[i]]`` with i = (k * 2^n + j) * K + t: it adds
+    ``local[p | 2^k] - local[p]``, where p = j & (2^k - 1) if k is in B
+    and p = j | (2^k - 1) if not. Returns the tuples (subs, hi, lo) and an
+    ``itemgetter`` over each, which shares it and gathers a pass that
+    covers the whole class. Over all n the hi and lo tuples hold
+    2 * m * 3^(m-1) entries: about 2.3 MB and 12 ms to build at m = 9, the
+    largest m route (d) meets (0.3 MB and 2 ms at m = 7).
+    """
+    masks, subs = _class_subsets(m, n)
+    K = len(masks)
+    rows = [subs[c * K:(c + 1) * K] for c in range(1 << n)]  # (c, t) order
+    lo = [j & (1 << k) - 1 if j >> k & 1 else j | (1 << k) - 1
+          for k in range(n) for j in range(1 << n)]
+    hi = [p | 1 << (i >> n) for i, p in enumerate(lo)]
+    tables = (subs, *(tuple(chain.from_iterable(map(rows.__getitem__, local)))
+                      for local in (hi, lo)))
+    return tables, [itemgetter(*t) for t in tables]
+
+
+def _first_nested_escape(values: Sequence[int]) -> tuple[int, int, int] | None:
+    """The first nested pair whose telescoped measure leaves the core on A.
+
+    ``values`` is a monotone image or its negation, so every weight shares
+    the sign of ``values[-1]``. Returns the first failing (A, B, C): A in
+    bitmask order, then B, then C in increasing submask order, or None
+    when every measure lies in its local core.
+
+    Classes of equal |A| = n >= 2 run in increasing n. (For |A| <= 1 every
+    measure is v on A.) After a class fails, a later class tests only its
+    A below the failing one, a prefix of its list, so the witness is the
+    first in bitmask order over all classes. A class whose pairs have
+    fewer than ``_PAIR_LANE_BYTES`` of lanes each runs in lane passes
+    (:func:`_first_escape_in_passes`); a wider one one pair at a time on
+    the :class:`_CoreLanes` of each A, whose memo tests each distinct
+    measure of the A once, since there testing the repeated measures in
+    lanes costs more than finding them.
+    """
+    m = len(values).bit_length() - 1
+    flip = values[-1] < 0
+    size = (abs(values[-1]).bit_length() + 9) // 8
+    lanes = [(-x if flip else x).to_bytes(size, "little") for x in values]
+    best = None
+    for n in range(2, m + 1):
+        masks, subs = _class_subsets(m, n)
+        K = len(masks)
+        count = K if best is None else bisect_left(masks, best[0])
+        if not count:  # and none in a later class, whose sets are larger still
+            break
+        if size << n < _PAIR_LANE_BYTES:
+            hit = _first_escape_in_passes(lanes, m, n, count, size, flip)
+        else:
+            hit = _first_escape_per_a(values, subs, K, n, count)
+        if hit is not None:
+            t, j, c = hit
+            best = masks[t], subs[j * K + t], subs[c * K + t]
+    return best
+
+
+def _first_escape_per_a(values: Sequence[int], subs: tuple, K: int, n: int,
+                        count: int) -> tuple[int, int, int] | None:
+    """The first failing (t, j, c) of the first ``count`` sets A of a class,
+    one pair at a time. The caps are ``values`` as given, so the lower core
+    test of a negated image is the upper core test of the image."""
+    bits = [1 << k for k in range(n)]
+    for t in range(count):
+        local = [values[c] for c in subs[t::K]]  # v on the submasks of A
+        core = _CoreLanes(local, local[-1])
+        for j in range(1 << n):
+            c = core.first_escape([local[p | bit] - local[p] for bit in bits
+                                   for p in [j & bit - 1 if j & bit else j | bit - 1]])
+            if c is not None:
+                return t, j, c
+    return None
+
+
+def _first_escape_in_passes(lanes: list[bytes], m: int, n: int, count: int, size: int,
+                            flip: bool) -> tuple[int, int, int] | None:
+    """The first failing (t, j, c) of the first ``count`` sets A of a class,
+    in lane passes.
+
+    ``lanes`` holds the image in ``size``-byte lanes, negated when
+    ``flip`` (``values[-1] < 0``), where the test mu(C) <= v(C) becomes
+    mu(C) >= v(C). Then 0 <= v(C) <= v(A) <= span for C <= A, and each
+    measure of A has weights >= 0 that sum to v(A). Lane (c, j, t) of a
+    pass holds the c-th subset sum of the measure of the j-th submask of
+    its t-th A, c outermost: blocks c + 2^k are blocks c < 2^k plus the
+    weights of element k, copied over 2^k blocks by doubling, and the caps
+    v(C) of each c and A are copied across j by bytes repetition. Lanes
+    take :class:`_Lanes`' width, so every weight, sum and cap lies in
+    ``[0, span]`` with ``span < H = 2^(width-1)``: ``(caps | top) - sums``
+    (or ``(sums | top) - caps``) has lanes in ``(0, 2^width)``, no carry
+    or borrow crosses a lane, and the top bit of a lane is clear iff it
+    fails. ``top`` is :func:`_top_mask` for the next power of two of
+    lanes, the surplus shifted out.
+
+    A pass holds whole A's, 4^n lanes each, while they fit in
+    ``_PAIR_PASS_BYTES``, else a run of j's of one A: at most that bound.
+    Within a pass the first failing A comes first, then j, then c.
+    """
+    tables, whole = _nested_pairs(m, n)
+    subsets, width = 1 << n, 8 * size
+    K = len(tables[0]) >> n
+    per = _PAIR_PASS_BYTES // (size << 2 * n)  # whole A's per pass
+    run = max(1, _PAIR_PASS_BYTES // (size << n))  # else j's of one A
+    passes = ([(t, min(t + per, count), 0, subsets) for t in range(0, count, per)] if per
+              else [(t, t + 1, j, min(j + run, subsets))
+                    for t in range(count) for j in range(0, subsets, run)])
+    for t0, t1, j0, j1 in passes:
+        na, nj = t1 - t0, j1 - j0
+        get_caps, get_hi, get_lo = whole
+        if na < K or nj < subsets:  # of each row of K entries, those of the pass
+            rows = [k + j for k in range(0, n << n, subsets) for j in range(j0, j1)]
+            get_caps, get_hi, get_lo = (
+                itemgetter(*chain.from_iterable(idx[r * K + t0:r * K + t1] for r in rs))
+                for idx, rs in zip(tables, (range(subsets), rows, rows)))
+        step = na * nj * size  # the bytes of one element's weights, (j, t) order
+        hib, lob = b"".join(get_hi(lanes)), b"".join(get_lo(lanes))
+        sums = 0
+        for k in range(n):
+            w = (int.from_bytes(hib[k * step:(k + 1) * step], "little")
+                 - int.from_bytes(lob[k * step:(k + 1) * step], "little"))
+            for i in range(k):
+                w |= w << (8 * step << i)
+            sums |= (sums + w) << (8 * step << k)
+        caps = get_caps(lanes)  # (c, t) order
+        caps = b"".join([b"".join(caps[r:r + na]) * nj for r in range(0, len(caps), na)])
+        lanes_in_pass = len(caps) // size
+        p = (lanes_in_pass - 1).bit_length()
+        top = _masks(_top_mask, width, p) >> ((1 << p) - lanes_in_pass) * width
+        base = int.from_bytes(caps, "little")
+        x = (sums | top) - base if flip else (base | top) - sums
+        if x & top != top:
+            fails = x.to_bytes(len(caps), "little")[size - 1::size].translate(_FAILS)
+            t = next(t for t in range(na) if 1 in fails[t::na])
+            col = fails[t::na]  # (c, j) order
+            j = min(i for i in (col[c:c + nj].find(1) for c in range(0, len(col), nj)) if i >= 0)
+            return t0 + t, j0 + j, col[j::nj].find(1)
+    return None
 
 
 @lru_cache(maxsize=32)

@@ -100,6 +100,18 @@ def wide_capped_sum(rng: random.Random, ground: GroundSet) -> SetFunction:
     return SetFunction.from_image(ground, total, 1)
 
 
+def digit_capped_sum(rng: random.Random, ground: GroundSet, digits: int) -> SetFunction:
+    """A capped sum like the benchmark's, its weights and caps scaled to ``digits`` digits."""
+    m = ground.size
+    scale = 10 ** digits
+    total = [0] * (1 << m)
+    for _ in range(rng.randint(1, 3)):
+        sums = subset_sums([rng.randint(0, 5 * scale) for _ in range(m)])
+        cap = rng.randint(4 * scale, 12 * scale)
+        total = [t + min(cap, x) for t, x in zip(total, sums)]
+    return SetFunction.from_image(ground, total, 1)
+
+
 def random_modular(rng: random.Random, ground: GroundSet) -> SetFunction:
     mu = DiscreteMeasure(
         ground, tuple(Fraction(rng.randint(0, 8)) for _ in range(ground.size))

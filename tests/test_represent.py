@@ -1,6 +1,7 @@
 """Core membership, chain suprema, and the four-way equivalence."""
 
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -24,6 +25,7 @@ from chainrep import (
     verify_submodular_equivalence,
     verify_supermodular_equivalence,
 )
+from chainrep import setfn
 from chainrep.counterexample import GROUND, V0, V1_EXPECTED, V2_EXPECTED
 from chainrep.represent import _extremal_measures_in_core, _local_candidates_in_core
 from chainrep.setfn import int_image, is_monotone, is_submodular, is_supermodular
@@ -322,6 +324,126 @@ class TestLateFailureBehindRepeatedMeasures:
                 # by element 0.
                 late = lower == (shift == 1)
                 assert b[1][0].order == ((1, 2, 3, 4, 5, 0) if late else tuple(range(m)))
+
+
+class TestNestedPairWitnessOrder:
+    """Route (d) tests a whole class of equal |A| per lane pass, the classes
+    in increasing |A|, and splits a class into passes of at most
+    ``setfn._PAIR_PASS_BYTES``. Its witness is still the literal oracle's:
+    the first A in bitmask order, then the first B, then the first C."""
+
+    @staticmethod
+    def both_sides(v):
+        values = v.image[0]
+        for lower in (True, False):
+            image = values if lower else [-x for x in values]
+            yield lower, _local_candidates_in_core(image), support.brute_route_d(v, lower)
+
+    @pytest.mark.parametrize("scale", (1, 1 << 520), ids=("passes", "mixed"))
+    def test_an_earlier_larger_set_beats_a_later_smaller_one(self, scale):
+        # 2|X| moved by one at 0b0111 and at 0b1100 fails first at
+        # A = 0b0111, three elements, and at A = 0b1100, the first failure
+        # of the two-element class, which runs first. Scaled, the lanes are
+        # 66 bytes: the two-element class runs in lane passes and the
+        # three-element class one pair at a time.
+        for bump in (1, -1):
+            ints = [2 * bin(s).count("1") for s in range(16)]
+            ints[0b0111] += bump
+            ints[0b1100] += bump
+            v = SetFunction.from_image(g(4), [scale * x for x in ints], 1)
+            for lower, got, want in self.both_sides(v):
+                assert got == want
+                if lower == (bump == 1):
+                    assert got[1][0] == 0b0111
+
+    def test_the_first_failing_b_beats_an_earlier_failing_lane(self):
+        # At A = {1, 2, 3} the pair with B = {2} first fails at C = {2, 3},
+        # and the pair with B = {2, 3} at C = {1, 2}, an earlier lane of the
+        # pass, whose subset sums run C outermost.
+        v = SetFunction.from_image(g(3), [0, 3, 4, 6, 2, 5, 5, 8], 1)
+        assert local_core_attainment(v, 0b111, 0b110).violated == 0b011
+        assert _local_candidates_in_core(v.image[0]) == (False, (0b111, 0b010, 0b110))
+        for _, got, want in self.both_sides(v):
+            assert got == want
+
+    def test_wide_classes_run_one_pair_at_a_time(self, monkeypatch):
+        # A class whose pairs take ``setfn._PAIR_LANE_BYTES`` of lanes or
+        # more runs one pair at a time, on core lanes per A, whose memo
+        # tests a repeated measure once. Every pair of A = {1, 2} and the
+        # first pair of A = {1, 3} have the weights (1, 1), but only the
+        # latter fails, at C = {3}, since v({3}) = 0: the memo of one A
+        # does not answer for another.
+        classes = []
+        per_a = setfn._first_escape_per_a
+        monkeypatch.setattr(setfn, "_first_escape_per_a",
+                            lambda values, subs, K, n, count:
+                            classes.append(n) or per_a(values, subs, K, n, count))
+        v = SetFunction.from_image(g(3), [x << 1100 for x in (0, 1, 1, 2, 0, 2, 2, 3)], 1)
+        assert (v.image[0][-1].bit_length() + 9) // 8 << 2 >= setfn._PAIR_LANE_BYTES
+        assert _local_candidates_in_core(v.image[0]) == (False, (0b101, 0, 0b100))
+        for _, got, want in self.both_sides(v):
+            assert got == want
+        assert classes == [2, 2, 2, 3]  # the upper side passes at |A| = 2
+
+    @pytest.mark.parametrize("scale", (1, 10 ** 20), ids=("narrow", "wide"))
+    @pytest.mark.parametrize("runs", (1, 2, 3, 8))
+    def test_a_failure_on_a_pass_edge(self, monkeypatch, scale, runs):
+        # The failing pair of the example above is B = {2}, the third of the
+        # eight pairs of A. Passes of one, two and three pairs put it alone,
+        # first and last in its pass, and eight put the whole A in one. The
+        # wide lanes are 9 bytes, wider than the masks ``_top_mask`` caches.
+        v = SetFunction.from_image(g(3), [scale * x for x in (0, 3, 4, 6, 2, 5, 5, 8)], 1)
+        size = (v.image[0][-1].bit_length() + 9) // 8  # the kernel's lane bytes
+        assert size == (1 if scale == 1 else 9)
+        monkeypatch.setattr(setfn, "_PAIR_PASS_BYTES", runs * size << 3)
+        for _, got, want in self.both_sides(v):
+            assert got == want
+        assert _local_candidates_in_core(v.image[0]) == (False, (0b111, 0b010, 0b110))
+
+    @pytest.mark.parametrize("budget", (1, 24, 100, 700))
+    @pytest.mark.parametrize("m", (3, 4, 5))
+    def test_small_passes_match_the_oracle(self, monkeypatch, m, budget):
+        # Every pass is cut short: whole A's, runs of B's or single pairs,
+        # on submodular inputs, which test every pair, and generic ones.
+        monkeypatch.setattr(setfn, "_PAIR_PASS_BYTES", budget)
+        rng = random.Random(2600 + m)
+        inputs = [*support.route_inputs(2600 + m, m, 1),
+                  support.digit_capped_sum(rng, g(m), 30)]
+        for v in inputs:
+            for _, got, want in self.both_sides(v):
+                assert got == want
+
+    @pytest.mark.parametrize("m", range(1, 8))
+    def test_random_monotone_inputs(self, m):
+        rng = random.Random(2500 + m)
+        inputs = [support.random_monotone(rng, g(m), rational=rational)
+                  for rational in (False, True) for _ in range(3 if m < 7 else 1)]
+        # The same integer inputs with 10-byte lanes: from six elements on,
+        # a class runs one pair at a time.
+        inputs += [SetFunction.from_image(g(m), [x << 70 for x in v.image[0]], 1)
+                   for v in inputs if v.image[1] == 1]
+        if m <= 4:
+            inputs += [v for v in support.lane_edge_inputs(rng, m) if is_monotone(v)[0]]
+        for v in inputs:
+            for _, got, want in self.both_sides(v):
+                assert got == want
+
+
+class TestNestedPairPassMemory:
+    """Route (d) runs wide values one pair at a time and narrow ones in
+    passes of at most about ``setfn._PAIR_PASS_BYTES`` of lanes, so its
+    memory does not grow with the class size."""
+
+    @pytest.mark.parametrize("m, digits", [(8, 1000), (7, 4000)])
+    def test_peak_stays_small(self, m, digits):
+        values = support.digit_capped_sum(random.Random(m), g(m), digits).image[0]
+        tracemalloc.start()
+        try:
+            assert _local_candidates_in_core(values) == (True, None)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 << 20
 
 
 class TestCoreChecksMatchLiteralScan:

@@ -468,8 +468,11 @@ class TestPassedMeasures:
             def __init__(self, caps, total):
                 super().__init__(caps, total)
                 made.append(self)
+        # Route (b) builds the only core lanes of a report; the chains of a
+        # capped sum give it more distinct passing measures than the limit.
         monkeypatch.setattr(represent, "_CoreLanes", Recorded)
-        for v in support.route_inputs(1200 + m, m, 1):
+        capped = support.wide_capped_sum(random.Random(1200 + m), g(m))
+        for v in [*support.route_inputs(1200 + m, m, 1), capped]:
             for lower in (True, False):
                 report = (verify_submodular_equivalence(v) if lower
                           else verify_supermodular_equivalence(v))
