@@ -19,7 +19,7 @@ and the same pass returns the lexicographically first optimal chain. One
 table over the pairs S, R <= complement(S) (:func:`chain_opt_all`)
 gives the optimum for the indicator of every subset at once, in 3^m * m
 steps on rows of packed lanes, for at most ``TABLE_LIMIT`` = 14 elements
-(about 1 s). These
+(about 0.5 s). These
 kernels only maximize: a minimum over chains is the maximum for -v,
 negated, with the same attaining chains, since every chain measure of -v
 is the negated chain measure of v.
@@ -249,33 +249,25 @@ def chain_opt_all(values: Sequence[int]) -> list[int]:
     a Python step per entry. opt[A] equals the optimum ``chain_opt_path``
     returns for the indicator of A.
 
-    That is O(3^m * m) big-int operations on rows of up to 2^m lanes, and
-    a row is freed once its last reader, the row of S minus its highest
-    element, is built. On a 2-vCPU VM, for values of a few digits, it takes
-    about 0.3 ms at m = 6, 25 ms at m = 10, 0.12 s at m = 12, 0.25–0.35 s
-    at m = 13 and 0.8–1.0 s at m = 14, with a peak of about 5 MB above the
-    input at m = 14. Each operation passes over every bit of a row, and
-    adding an increment multiplies it into every lane, so wide values cost
-    more than on the list table of the tests' oracle
-    (``support.list_chain_opt_all``): at m = 8 about 0.012 s for 100-digit
-    values, 0.05–0.09 s for 300 and 0.25–0.3 s for 1000 digits, where the
-    list table takes 0.015–0.02 s. Rationals reach such widths through the
-    common denominator of their integer image.
-    Refuses m > TABLE_LIMIT.
+    That is O(3^m * m) big-int operations on rows of up to 2^m lanes.
+    One loop (``_LaneRows.optima``) builds every row in place, S in
+    decreasing order: it reads each child T[S|i] straight from the table
+    and frees it when S is its last reader, that is when i lies above S's
+    highest element, and the lane-wise maximum of two rows takes 7 big-int
+    operations. On a 2-vCPU VM, on capped sums of small integers, it takes
+    about 0.15 ms at m = 6, 0.8 ms at m = 8, 6 ms at m = 10, 50–60 ms at
+    m = 12, 0.14–0.2 s at m = 13 and 0.45 s at m = 14, with a peak of about
+    5 MB above the input at m = 14. Each operation passes over every bit of
+    a row, and adding an increment multiplies it into every lane, so wide
+    values cost more than on the list table of the tests' oracle
+    (``support.list_chain_opt_all``): at m = 8 about 0.007 s for 100-digit
+    values, 0.03 s for 300 and 0.06 s for 1000 digits, where the list table
+    takes 0.008–0.012 s. Rationals reach such widths through the
+    common denominator of their integer image. Refuses m > TABLE_LIMIT.
     """
-    full = len(values) - 1
-    m = full.bit_length()
+    m = (len(values) - 1).bit_length()
     _require_size(m, TABLE_LIMIT, "the all-subsets table holds 3^m entries")
-    rows = _LaneRows(values)
-    table: list = [None] * (full + 1)
-    table[full] = rows.bias  # the one lane of T[full], holding 0
-    bits = [1 << i for i in range(m)]
-    for s in range(full - 1, -1, -1):
-        vs = values[s]
-        table[s] = rows.row([(table[s | b], values[s | b] - vs) for b in bits if not s & b])
-        for b in bits[s.bit_length():]:
-            table[s | b] = None  # s was its last reader
-    return rows.unpack(table[0])
+    return _LaneRows(values).optima()
 
 
 def chain_opt(

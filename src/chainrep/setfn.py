@@ -523,11 +523,13 @@ class _LaneRows:
     in the other lanes, and d the increment of i at S. Those lanes of
     ``sp + d * E`` hold ``T[S|i][R - i] + d + bias``, and
     ``T[S|i][R - i] + d >= -|R| * span``, so they stay in ``[0, 2 * bias]``
-    too. The maximum of two rows x, y reads the top bit of
-    ``(y | top) - x``, whose lanes ``H + y_k - x_k`` lie in ``(0, 2H)``.
-    So every intermediate lane stays in ``[0, 2^width)``: no carry or
-    borrow crosses a lane, and each big-int result is exactly the
-    lane-wise one.
+    too. The maximum of two rows x, y is ``y + (d & (sel - (sel >> guard)))``
+    with ``d = (x | top) - y``, ``sel = d & top`` and ``guard = width - 1``:
+    lane k of d is ``H + x_k - y_k``, in ``(0, 2H)``, its top bit is set iff
+    ``x_k >= y_k``, and then its low bits hold ``x_k - y_k``, which the
+    mask ``sel - (sel >> guard)`` keeps. So every intermediate lane stays in
+    ``[0, 2^width)``: no carry or borrow crosses a lane, and each big-int
+    result is exactly the lane-wise one.
 
     The masks of each lane count come from :func:`_row_masks`, and the top
     bits from :func:`_top_mask`, shared with :class:`_Lanes`. Those of
@@ -540,36 +542,49 @@ class _LaneRows:
     """
 
     def __init__(self, ints: Sequence[int]):
+        self.ints = ints
         self.m = len(ints).bit_length() - 1
         self.bias = self.m * (max(ints) - min(ints))
         self.width = 8 * (((2 * self.bias).bit_length() + 8) // 8)
         self.masks = [(_masks(_top_mask, self.width, n), _masks(_row_masks, self.width, n))
                       for n in range(self.m + 1)]
 
-    def row(self, children: Sequence[tuple[int, int]]) -> int:
-        """The lane-wise maximum over the rows through each element outside S.
+    def optima(self) -> list[int]:
+        """The entries of T[0]: every row built in place, S in decreasing order.
 
-        ``children`` lists (T[S|i], d) for those elements in index order.
+        Each child T[S|i] is read straight from the table, the elements i
+        outside S lowest first. S is the last reader of T[S|i] when i lies
+        above S's highest bit (S is S|i less its highest element), so that
+        row is freed as it is read.
         """
-        top, ranks = self.masks[len(children)]
-        guard = self.width - 1
-        best = None
-        for (sp, d), (ones, shift, steps) in zip(children, ranks):
-            for mask, step in steps:
-                t = sp & mask
-                sp = (sp ^ t) | (t << step)
-            cand = sp | ((sp + d * ones) << shift)
-            if best is None:
-                best = cand
-            else:
-                sel = ((cand | top) - best) & top
-                best ^= (cand ^ best) & (sel - (sel >> guard))
-        return best
-
-    def unpack(self, row: int) -> list[int]:
-        """The entries of a row of 2^m lanes, from one ``to_bytes``."""
+        ints, guard = self.ints, self.width - 1
+        full = len(ints) - 1
+        table: list = [None] * (full + 1)
+        table[full] = self.bias  # the one lane of T[full], holding 0
+        for s in range(full - 1, -1, -1):
+            vs = ints[s]
+            out = full ^ s
+            top, ranks = self.masks[out.bit_count()]
+            best = None
+            for ones, shift, steps in ranks:
+                b = out & -out
+                out ^= b
+                sp = table[s | b]
+                if b > s:
+                    table[s | b] = None
+                for mask, step in steps:
+                    t = sp & mask
+                    sp = (sp ^ t) | (t << step)
+                sp |= (sp + (ints[s | b] - vs) * ones) << shift
+                if best is None:
+                    best = sp
+                else:
+                    d = (best | top) - sp
+                    sel = d & top
+                    best = sp + (d & (sel - (sel >> guard)))
+            table[s] = best
         size = self.width // 8
-        buf = row.to_bytes(size << self.m, "little")
+        buf = table[0].to_bytes(size << self.m, "little")
         return [int.from_bytes(buf[k:k + size], "little") - self.bias
                 for k in range(0, len(buf), size)]
 

@@ -326,6 +326,29 @@ class TestLateFailureBehindRepeatedMeasures:
                 assert b[1][0].order == ((1, 2, 3, 4, 5, 0) if late else tuple(range(m)))
 
 
+class TestRouteBHeadTailSeam:
+    """Route (b) telescopes each head of m - 3 elements once and runs the
+    3! tails of the rest. Moving a modular v by one on L, every element
+    but 0 and 1, makes the chains through L the first to fail: raising it
+    on the lower side, lowering it on the upper. The first of them lists
+    L, then 0 and 1, so it is the fifth tail of its head, after four
+    passing chains that differ from it only in their last three elements."""
+
+    @pytest.mark.parametrize("m", (4, 7))
+    @pytest.mark.parametrize("lower", (True, False), ids=("lower", "upper"))
+    def test_witness_is_a_later_tail_of_its_head(self, m, lower):
+        rng = random.Random(1310 + m)
+        w = [rng.randint(2, 9) for _ in range(m)]
+        ints = [sum(x for i, x in enumerate(w) if s >> i & 1) for s in range(1 << m)]
+        low = (1 << m) - 4  # L: every element but 0 and 1
+        ints[low] += 1 if lower else -1
+        v = SetFunction(g(m), tuple(map(Fraction, ints)))
+        assert is_monotone(v)[0]
+        b = _extremal_measures_in_core(g(m), ints if lower else [-x for x in ints])
+        assert b == support.brute_route_b(v, lower)
+        assert b[1][0].order == tuple(range(2, m)) + (0, 1)
+
+
 class TestNestedPairWitnessOrder:
     """Route (d) tests a whole class of equal |A| per lane pass, the classes
     in increasing |A|, and splits a class into passes of at most
