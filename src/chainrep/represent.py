@@ -315,8 +315,8 @@ def _local_candidates_in_core(
 def _verify(v: SetFunction, side: str, values: Sequence[int],
             lanes: _Lanes) -> EquivalenceReport:
     """The four submodular-side routes on ``values``, the image of v or -v,
-    and ``lanes``, v's packing of it."""
-    require_monotone(v, "equivalence verification")
+    and ``lanes``, v's packing of it; the caller has checked that v is
+    monotone."""
     a_wit = _exchange_violation(lanes)
     b_holds, b_wit = _extremal_measures_in_core(v.ground, values)
     c_holds, c_wit = _sup_matches_everywhere(v.ground, values)
@@ -326,11 +326,18 @@ def _verify(v: SetFunction, side: str, values: Sequence[int],
     )
 
 
+def _submodular_report(v: SetFunction) -> EquivalenceReport:
+    """The four submodular-side statements of a v known to be monotone."""
+    return _verify(v, "submodular", v.image[0], v._lanes)
+
+
 def verify_submodular_equivalence(v: SetFunction) -> EquivalenceReport:
     """Evaluate all four submodular-side statements independently."""
-    return _verify(v, "submodular", v.image[0], v._lanes)
+    require_monotone(v, "equivalence verification")
+    return _submodular_report(v)
 
 
 def verify_supermodular_equivalence(v: SetFunction) -> EquivalenceReport:
     """The four dual statements, infima and the upper core: those of -v."""
+    require_monotone(v, "equivalence verification")
     return _verify(v, "supermodular", [-x for x in v.image[0]], v._lanes.negated())

@@ -179,6 +179,21 @@ class TestCheckCommand:
         expected["equivalence"] = dict(zip("abcd", report.booleans))
         assert json.loads(captured.out) == expected
 
+    def test_monotone_test_runs_once(self, tmp_path, capsys, monkeypatch):
+        # check tests monotonicity itself, then runs the four routes
+        # without the report's own monotone test.
+        from chainrep import setfn
+        calls = []
+
+        def counted(v):
+            calls.append(v)
+            return is_monotone(v)
+        monkeypatch.setattr(setfn, "is_monotone", counted)
+        monkeypatch.setattr(cli, "is_monotone", counted)
+        assert main(["check", v2_doc(tmp_path), "--no-persist"]) == EXIT_OK
+        assert "four-way equivalence" in capsys.readouterr().out
+        assert len(calls) == 1
+
     def test_wide_ground_set_skips_the_four_way_report(self, tmp_path, capsys):
         ground = GroundSet.of_size(10)
         v = SetFunction.from_callable(ground, lambda s: min(4, bin(s).count("1")))

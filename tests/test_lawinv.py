@@ -38,7 +38,7 @@ from chainrep import (
     v_mu_set_function,
     v_mu_via_quantile,
 )
-from chainrep import lawinv
+from chainrep import lawinv, setfn
 from chainrep.lawinv import distribution_integral, quantile_integral
 
 import support
@@ -383,6 +383,69 @@ class TestRearrangementSup:
         with pytest.raises(SearchTooLarge, match=r"^rearrangement_sup: more than 0 "):
             rearrangement_sup(w, fn(w.ground, f))
 
+    def test_search_limit_counts_vectors_not_lookups(self, monkeypatch):
+        # A head of one element before a forced tail memoizes one vector,
+        # which the forward pass then reads back: a bound of 1 admits it.
+        ground = g(4)
+        w = WeightedSpace(ground, DiscreteMeasure(ground, (2, 1, 1, 1)), (1, 1, 2, 3))
+        f = fn(ground, (1, 3, 0, 2))
+        want = support.brute_rearrangement_sup(w, f)
+        monkeypatch.setattr(lawinv, "_SEARCH_LIMIT", 1)
+        assert rearrangement_sup(w, f) == want
+        monkeypatch.setattr(lawinv, "_SEARCH_LIMIT", 0)
+        with pytest.raises(SearchTooLarge):
+            rearrangement_sup(w, f)
+
+    def test_uniform_three_hundred_elements_in_closed_form(self, monkeypatch):
+        # Tied f and tied densities on a uniform nu: the whole space is the
+        # forced tail, so nothing is searched. Sorted by (f, index), the
+        # elements take the sorted densities, so equal gains take
+        # ascending levels in index order.
+        monkeypatch.setattr(setfn, "MAX_GROUND_SIZE", 300)
+        monkeypatch.setattr(lawinv, "_SEARCH_LIMIT", 0)
+        m = 300
+        density = [Fraction(i % 7, 2) for i in range(m)]
+        f = [Fraction((11 * i) % 13) for i in range(m)]
+        ground = g(m)
+        w = WeightedSpace(ground, DiscreteMeasure(ground, (Fraction(2, 3),) * m), density)
+        value, best = rearrangement_sup(w, fn(ground, f))
+        assert value == Fraction(2, 3) * sum(a * b for a, b in zip(sorted(f), sorted(density)))
+        want = [None] * m
+        for level, i in zip(sorted(density), sorted(range(m), key=lambda i: (f[i], i))):
+            want[i] = level
+        assert best == tuple(want)
+        ties = [i for i in range(m) if f[i] == 5]
+        assert len({best[i] for i in ties}) > 1
+        assert [best[i] for i in ties] == sorted(best[i] for i in ties)
+
+    def test_tail_ties_spanning_levels_match_literal_sweep(self):
+        """A general head, then a tail of one mass whose tied gains span levels.
+
+        The tail elements share f, so their gains tie, and their densities
+        are distinct: the first best density gives each tie group its slots
+        smallest level first, in index order.
+        """
+        rng = random.Random(347)
+        spans = 0
+        for trial in range(60):
+            m = rng.randint(4, 7)
+            tail = rng.randint(3, m - 1)
+            unit = Fraction(rng.choice((1, "1/2")))
+            head = [Fraction(rng.choice((2, 3, "3/2", 0))) for _ in range(m - tail - 1)]
+            nu = tuple(head + [Fraction(rng.choice((2, 3, "3/2")))] + [unit] * tail)
+            density = [Fraction(rng.choice((0, 1, 2, 4, "7/3"))) for _ in range(m - tail)]
+            density += [Fraction(x) for x in rng.sample((0, 1, 2, 4, 5, "7/3"), tail)]
+            w = WeightedSpace(g(m), DiscreteMeasure(g(m), nu), tuple(density))
+            tie = Fraction(rng.choice((1, 2)))
+            f = [Fraction(rng.randint(0, 3)) for _ in range(m - tail)]
+            f += [tie if rng.random() < 0.7 else Fraction(rng.randint(0, 3)) for _ in range(tail)]
+            f = fn(w.ground, f)
+            got = rearrangement_sup(w, f)
+            assert got == support.brute_rearrangement_sup(w, f)
+            tied = [got[1][i] for i in range(m - tail, m) if f.values[i] == tie]
+            spans += len(set(tied)) > 1
+        assert spans >= 20
+
 
 class TestComonotoneAttainment:
     def test_density_with_itself(self):
@@ -523,6 +586,25 @@ class TestDomination:
             f = support.random_simple(rng, g(m), lo=0, hi=6)
             report = domination_report(w, f)  # raises if domination fails
             assert report.gap_to_supremum >= 0
+
+    def test_paired_integral_is_the_mu_integral_with_zero_weights(self):
+        # The pairing of f with the space's own density, against mu; an
+        # anti-aligned f leaves it strictly below the supremum.
+        rng = random.Random(353)
+        strict = 0
+        for trial in range(40):
+            m = rng.randint(2, 7)
+            weights = [Fraction(rng.choice((0, 0, 1, 2, "1/3", "5/2"))) for _ in range(m)]
+            weights[rng.randrange(m)] = Fraction(rng.choice((1, "2/3")))
+            density = [Fraction(rng.randint(0, 9), rng.choice((1, 2))) for _ in range(m)]
+            w = WeightedSpace(g(m), DiscreteMeasure(g(m), tuple(weights)), tuple(density))
+            f = (support.comonotone_partner(rng, w, anti=True) if trial % 2
+                 else support.random_simple(rng, g(m), lo=0, hi=6))
+            report = domination_report(w, f)
+            assert report.paired_integral == w.mu().integral(f.values)
+            assert isinstance(report.paired_integral, Fraction)
+            strict += report.paired_integral < report.rearrangement_supremum
+        assert strict >= 10
 
     def test_sup_attained_by_some_rearrangement(self):
         rng = random.Random(181)
