@@ -8,15 +8,16 @@ its coherent risk normalization, the chain-supremum recursion with exact
 fixed-point detection, and the law-invariant (distribution-determined)
 family with quantile, product, and spectral decompositions.
 
-Importing the package loads only ``errors``, ``setfn``, ``chains`` and
-``choquet``; every other exported name is imported from its submodule on
-first use, and ``choquet`` is bound eagerly because the first import of the
-``chainrep.choquet`` submodule would otherwise rebind it to that module.
+Importing the package loads no submodule: every exported name is imported
+from its submodule on first use. ``chainrep.choquet`` names the function,
+although the first import of the ``chainrep.choquet`` submodule binds the
+package attribute of that name to the module: the package's class reads
+the name as a property whose setter drops that binding.
 """
 
+import sys as _sys
 from importlib import import_module as _import_module
-
-from .choquet import choquet
+from types import ModuleType as _ModuleType
 
 __version__ = "0.1.0"
 
@@ -72,3 +73,20 @@ def __getattr__(name):
     value = getattr(_import_module(f".{_HOME[name]}", __name__), name)
     globals()[name] = value
     return value
+
+
+class _Package(_ModuleType):
+    """The package's module type: ``choquet`` stays the function."""
+
+    @property
+    def choquet(self):
+        return _import_module(".choquet", __name__).choquet
+
+    @choquet.setter
+    def choquet(self, value):
+        # The import system binds the submodule here; any other value is refused.
+        if value is not _sys.modules.get(f"{__name__}.choquet"):
+            raise AttributeError(f"cannot rebind {__name__}.choquet")
+
+
+_sys.modules[__name__].__class__ = _Package

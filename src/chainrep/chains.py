@@ -27,13 +27,13 @@ is the negated chain measure of v.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Sequence
 
 from .errors import GroundSetTooLarge, NonMonotoneAlongChain, NotNested
-from .setfn import GroundSet, ScalarLike, SetFunction, _LaneRows, as_scalar, int_image
+from .setfn import (GroundSet, ScalarLike, SetFunction, _LaneRows, _Record, as_scalar,
+                    int_image)
 
 # The 3^m all-subsets table refuses ground sets above TABLE_LIMIT, as route (b)'s
 # m! sweep does above represent.SWEEP_LIMIT; the 2^m path DP takes every size.
@@ -45,8 +45,7 @@ def _require_size(m: int, limit: int, what: str) -> None:
         raise GroundSetTooLarge(f"{what}: at most {limit} elements, got {m}")
 
 
-@dataclass(frozen=True)
-class Chain:
+class Chain(_Record):
     """A maximal chain, stored as the permutation of element indices."""
 
     ground: GroundSet
@@ -81,8 +80,7 @@ class Chain:
         return mask in self.prefixes()
 
 
-@dataclass(frozen=True)
-class DiscreteMeasure:
+class DiscreteMeasure(_Record):
     """Nonnegative exact weight per ground element; additive on subsets."""
 
     ground: GroundSet

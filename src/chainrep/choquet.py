@@ -18,17 +18,15 @@ invariant, nonpositive on nonnegative f).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .chains import Chain, chain_opt, indicator
 from .errors import NegativeValues, NonMonotoneAlongChain, NotSubmodular, ZeroTotalMass
-from .setfn import (GroundSet, ScalarLike, SetFunction, as_scalar, is_submodular,
+from .setfn import (GroundSet, ScalarLike, SetFunction, _Record, as_scalar, is_submodular,
                     require_monotone)
 
 
-@dataclass(frozen=True)
-class SimpleFunction:
+class SimpleFunction(_Record):
     """Exact-valued function on the ground elements (any sign)."""
 
     ground: GroundSet
@@ -88,8 +86,7 @@ class SimpleFunction:
         return SimpleFunction(self.ground, tuple(c * a for a in self.values))
 
 
-@dataclass(frozen=True)
-class LayerDecomposition:
+class LayerDecomposition(_Record):
     """Nested level sets with coefficients reconstructing the function.
 
     Coefficients are nonnegative except possibly the last; the sets

@@ -258,7 +258,10 @@ def _persist(args, doc, outputs) -> None:
 
 
 def _value_row(v: SetFunction, order: list[int]) -> list[str]:
-    return [rational_str(v.values[mask]) for mask in order]
+    # Each distinct value of the image is formatted once.
+    ints, den = v.image
+    text = {x: rational_str(Fraction(x, den)) for x in set(ints)}
+    return [text[ints[mask]] for mask in order]
 
 
 def _yes(b: bool) -> str:

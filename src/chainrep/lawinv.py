@@ -36,7 +36,6 @@ Fraction. The module also provides:
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate
@@ -55,7 +54,7 @@ from .errors import (
     TiedDensities,
     ZeroTotalMass,
 )
-from .setfn import GroundSet, ScalarLike, SetFunction, as_scalar, int_image
+from .setfn import GroundSet, ScalarLike, SetFunction, _Record, as_scalar, int_image
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -64,8 +63,7 @@ ONE = Fraction(1)
 _SEARCH_LIMIT = 1 << 19
 
 
-@dataclass(frozen=True)
-class WeightedSpace:
+class WeightedSpace(_Record):
     """Reference measure plus density: the data behind a law-invariant v."""
 
     ground: GroundSet
@@ -210,8 +208,7 @@ def _distribution_image(
     return _StepImage(bps, vden, list(accumulate(map(masses.__getitem__, bps))), wden)
 
 
-@dataclass(frozen=True)
-class StepDistribution:
+class StepDistribution(_Record):
     """Right-continuous non-decreasing step function on [0, infinity).
 
     ``F(z)`` equals the level at the largest breakpoint <= z and 0 to the
@@ -616,8 +613,7 @@ def comonotone_attainment(
     return choq, paired, sup
 
 
-@dataclass(frozen=True)
-class DominationReport:
+class DominationReport(_Record):
     """How the Choquet value sits above the equal-distribution class.
 
     The chain-side supremum (the Choquet value itself, by the chain
@@ -660,8 +656,7 @@ def domination_report(w: WeightedSpace, f: SimpleFunction) -> DominationReport:
     return DominationReport(choq, sup, best, paired)
 
 
-@dataclass(frozen=True)
-class SpectralMeasure:
+class SpectralMeasure(_Record):
     """Discrete probability measure on (0, 1]; atoms sorted by level, descending."""
 
     atoms: tuple[tuple[Fraction, Fraction], ...]
@@ -731,8 +726,7 @@ def _tail_component(mu: Fraction, g: _StepImage, cn: int, cd: int) -> tuple[int,
     return area, Fraction(mu.numerator * area, mu.denominator * cn * g.den)
 
 
-@dataclass(frozen=True)
-class SpectralDecompositionReport:
+class SpectralDecompositionReport(_Record):
     """Both sides of the spectral identity, with per-atom components."""
 
     direct: Fraction

@@ -19,14 +19,13 @@ and a run that the cap stops returns its partial trace.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
 
 from .chains import chain_opt_all
 from .errors import InternalConsistencyError, ProfileNotMonotone
 from .setfn import (
-    GroundSet, SetFunction, as_scalar, is_submodular, require_monotone,
+    GroundSet, SetFunction, _Record, as_scalar, is_submodular, require_monotone,
 )
 
 
@@ -37,8 +36,7 @@ def recursion_step(v: SetFunction) -> SetFunction:
     return SetFunction.from_image(v.ground, chain_opt_all(ints), den)
 
 
-@dataclass(frozen=True)
-class RecursionTrace:
+class RecursionTrace(_Record):
     """The iterates of the transform, and where the run ended.
 
     ``fixed_point_index`` is the first n with v_n submodular, that is with
@@ -95,8 +93,7 @@ def iterate_to_fixed_point(
     return RecursionTrace(tuple(iterates), len(iterates) - 1)
 
 
-@dataclass(frozen=True)
-class CardinalityProfile:
+class CardinalityProfile(_Record):
     """Values g(0..m) of a set function that depends only on cardinality.
 
     Must start at zero and be non-decreasing.

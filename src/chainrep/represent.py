@@ -68,7 +68,6 @@ the tests check every route against its literal oracle.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 from typing import Sequence
@@ -86,8 +85,8 @@ from .chains import (
     subset_sums,
 )
 from .setfn import (
-    GroundSet, SetFunction, _CoreLanes, _Lanes, _exchange_violation, _first_nested_escape,
-    int_image, require_monotone,
+    GroundSet, SetFunction, _CoreLanes, _Lanes, _Record, _exchange_violation,
+    _first_nested_escape, int_image, require_monotone,
 )
 
 
@@ -158,8 +157,7 @@ def local_core_sup(v: SetFunction, a_mask: int, b_mask: int) -> Fraction:
     return local_core_attainment(v, a_mask, b_mask).value
 
 
-@dataclass(frozen=True)
-class LocalCoreReport:
+class LocalCoreReport(_Record):
     """Outcome of the constructive nested-pair check at (A, B)."""
 
     a_mask: int
@@ -205,8 +203,7 @@ def _restricted_core_check(
     return (True, None) if k is None else (False, subs[k])
 
 
-@dataclass(frozen=True)
-class EquivalenceReport:
+class EquivalenceReport(_Record):
     """The four booleans of the chain-representation equivalence.
 
     All four agree for every monotone input; each carries the first

@@ -76,13 +76,11 @@ from __future__ import annotations
 import sys
 from array import array
 from bisect import bisect_left
-from copy import copy
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import chain
 from math import gcd, lcm
-from operator import itemgetter
+from operator import attrgetter, itemgetter
 from typing import Callable, Iterable, Sequence, Union
 
 from .errors import NotMonotone
@@ -236,7 +234,8 @@ class _Lanes:
         ``-ints[k] + hi = (hi - lo) - (ints[k] - lo)``: the same width,
         and every lane at once is ``(hi - lo) * ones - packed``.
         """
-        neg = copy(self)
+        neg = object.__new__(type(self))
+        vars(neg).update(vars(self))
         neg.lo, neg.hi = -self.hi, -self.lo
         neg.packed = (self.hi - self.lo) * (self.top >> self.width - 1) - self.packed
         return neg
@@ -589,8 +588,77 @@ class _LaneRows:
                 for k in range(0, len(buf), size)]
 
 
-@dataclass(frozen=True)
-class GroundSet:
+class _Record:
+    """Frozen record: the base of the package's value types.
+
+    The fields are the names annotated in the class body, in order, kept
+    as ``_fields``. Making a class runs no ``exec`` and the package loads
+    neither ``dataclasses`` nor ``inspect``, so a CLI child's start-up
+    pays for neither. A record is built from its fields by
+    position or keyword, then ``__post_init__`` runs; it equals a record
+    of the same class with equal fields, hashes its field tuple, prints
+    as a dataclass does and refuses assignment and deletion. A class's own
+    ``__init__`` or ``__repr__`` replaces these. Attributes outside the
+    fields, such as ``cached_property`` values, sit in the instance
+    ``__dict__`` and stay out of equality, hashing and ``repr``.
+    """
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls._fields = tuple(cls.__annotations__)
+        cls._key = attrgetter(*cls._fields)
+
+    def __init__(self, *args, **kwargs):
+        fields = self._fields
+        if kwargs or len(args) != len(fields):
+            args = self._bind(args, kwargs)
+        self.__dict__.update(zip(fields, args))
+        self.__post_init__()
+
+    @classmethod
+    def _bind(cls, args: tuple, kwargs: dict) -> list:
+        """The field values in order, or the TypeError a function would raise."""
+        fields = cls._fields
+        if len(args) > len(fields):
+            raise TypeError(f"{cls.__name__}() takes {len(fields)} arguments "
+                            f"but {len(args)} were given")
+        given = dict(zip(fields, args))
+        for name, value in kwargs.items():
+            if name not in fields:
+                raise TypeError(f"{cls.__name__}() got an unexpected keyword argument {name!r}")
+            if name in given:
+                raise TypeError(f"{cls.__name__}() got multiple values for argument {name!r}")
+            given[name] = value
+        missing = [name for name in fields if name not in given]
+        if missing:
+            raise TypeError(f"{cls.__name__}() missing required arguments: "
+                            + ", ".join(map(repr, missing)))
+        return [given[name] for name in fields]
+
+    def __post_init__(self):
+        pass
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        key = self._key
+        return key(self) == key(other)
+
+    def __hash__(self):
+        return hash(self._key(self))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class GroundSet(_Record):
     """An ordered tuple of distinct element labels, at most 16 of them."""
 
     elements: tuple[str, ...]
@@ -686,8 +754,7 @@ class GroundSet:
         return order, [names[s] for s in order]
 
 
-@dataclass(frozen=True, init=False, repr=False)
-class SetFunction:
+class SetFunction(_Record):
     """Dense exact-valued function on all subsets of a ground set.
 
     ``image = (ints, den)`` is the canonical integer image (see the module
@@ -761,16 +828,14 @@ class SetFunction:
         return f"SetFunction(ground={self.ground!r}, values={self.values!r})"
 
 
-@dataclass(frozen=True)
-class MonotoneWitness:
+class MonotoneWitness(_Record):
     """Nested pair with v(small) > v(large); large = small plus one element."""
 
     small: int
     large: int
 
 
-@dataclass(frozen=True)
-class ExchangeWitness:
+class ExchangeWitness(_Record):
     """Local exchange triple violating the requested modularity direction.
 
     The violated inequality compares ``v(base|i) + v(base|j)`` against

@@ -719,20 +719,20 @@ def fresh_interpreter(code: str, *argv: str):
 
 
 LOADED = ("import json, sys\n"
-          "print(json.dumps(sorted(m for m in sys.modules if m.startswith('chainrep'))))")
-# What importing the package loads: choquet is bound eagerly, with its imports.
-ROOT_MODULES = {"chainrep", "chainrep.errors", "chainrep.setfn", "chainrep.chains",
-                "chainrep.choquet"}
+          "print(json.dumps(sorted(m for m in sys.modules if m.startswith('chainrep')\n"
+          "                        or m in ('dataclasses', 'inspect'))))")
+# What importing the package loads: every export is imported on first use.
+ROOT_MODULES = {"chainrep"}
 
 
-# Each command's arguments, and the modules it loads beyond the package root's.
+# Each command's arguments, and the modules it loads beyond cli, errors and setfn.
 COMMAND_MODULES = [
-    (["check", "V2"], {"represent"}),
-    (["iterate", "V0"], {"recursion"}),
-    (["repro-table"], {"recursion", "counterexample"}),
-    (["choquet", "V2", "--f", "1,0,0,0", "--sup", "--risk", "--witness"], set()),
-    (["spectral", "SPACE", "--f", "1,0"], {"lawinv"}),
-    (["represent", "V2"], {"represent"}),
+    (["check", "V2"], {"chains", "represent"}),
+    (["iterate", "V0"], {"chains", "recursion"}),
+    (["repro-table"], {"chains", "recursion", "counterexample"}),
+    (["choquet", "V2", "--f", "1,0,0,0", "--sup", "--risk", "--witness"], {"chains", "choquet"}),
+    (["spectral", "SPACE", "--f", "1,0"], {"chains", "choquet", "lawinv"}),
+    (["represent", "V2"], {"chains", "represent"}),
     (["dual", "V2"], set()),
 ]
 
@@ -740,12 +740,14 @@ COMMAND_MODULES = [
 @pytest.mark.parametrize("argv, modules", COMMAND_MODULES,
                          ids=[argv[0] for argv, _ in COMMAND_MODULES])
 def test_each_command_loads_only_the_modules_it_runs(tmp_path, argv, modules):
+    # Neither dataclasses nor inspect: the records are built on setfn._Record.
     paths = {"V0": v0_doc(tmp_path), "V2": v2_doc(tmp_path),
              "SPACE": weighted_doc(tmp_path, ["1", "1"], ["2", "0"])}
     loaded = fresh_interpreter("import sys\nfrom chainrep.cli import main\n"
                                "main(sys.argv[1:])\n" + LOADED,
                                *[paths.get(a, a) for a in argv], "--no-persist")
-    assert set(loaded) == ROOT_MODULES | {"chainrep.cli"} | {f"chainrep.{m}" for m in modules}
+    assert set(loaded) == ROOT_MODULES | {f"chainrep.{m}" for m in
+                                          {"cli", "errors", "setfn"} | modules}
 
 
 def test_package_import_loads_only_the_eager_modules():

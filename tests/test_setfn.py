@@ -1,6 +1,5 @@
 """Predicates, witnesses, and the complement transform."""
 
-import dataclasses
 import itertools
 import random
 from fractions import Fraction
@@ -10,7 +9,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 from chainrep import (
+    Chain,
     ChainrepError,
+    ExchangeWitness,
     GroundSet,
     NotMonotone,
     SetFunction,
@@ -525,7 +526,67 @@ class TestLanesKeptOnTheFunction:
         assert "_lanes" not in vars(fresh)
         assert packed == fresh and hash(packed) == hash(fresh)
         assert repr(packed) == repr(fresh)
-        assert [f.name for f in dataclasses.fields(SetFunction)] == ["ground", "image"]
+        assert list(SetFunction._fields) == ["ground", "image"]
+
+
+class Pair(setfn._Record):
+    left: int
+    right: object
+
+
+class OtherPair(setfn._Record):
+    left: int
+    right: object
+
+
+class TestRecord:
+    """The frozen-record base of the package's value types."""
+
+    def test_builds_from_positions_or_keywords(self):
+        assert Pair._fields == ("left", "right")
+        for p in (Pair(1, "x"), Pair(1, right="x"), Pair(right="x", left=1)):
+            assert (p.left, p.right) == (1, "x") and p == Pair(1, "x")
+
+    @pytest.mark.parametrize("args, kwargs, message", [
+        ((1,), {}, "missing required arguments: 'right'"),
+        ((), {}, "missing required arguments: 'left', 'right'"),
+        ((1, 2), {"other": 3}, "unexpected keyword argument 'other'"),
+        ((1, 2), {"left": 3}, "multiple values for argument 'left'"),
+        ((1, 2, 3), {}, "takes 2 arguments but 3 were given"),
+    ])
+    def test_refuses_a_missing_unknown_or_repeated_field(self, args, kwargs, message):
+        with pytest.raises(TypeError, match=message):
+            Pair(*args, **kwargs)
+
+    def test_runs_post_init_after_the_fields(self):
+        with pytest.raises(ValueError, match="must be a permutation"):
+            Chain(g(2), order=(0, 0))
+        assert Chain(g(2), order=[1, 0]).order == (1, 0)
+
+    def test_refuses_assignment_and_deletion(self):
+        p = Pair(1, 2)
+        with pytest.raises(AttributeError, match="cannot assign to field 'left'"):
+            p.left = 3
+        with pytest.raises(AttributeError, match="cannot assign to field 'extra'"):
+            p.extra = 3
+        with pytest.raises(AttributeError, match="cannot delete field 'left'"):
+            del p.left
+        assert vars(p) == {"left": 1, "right": 2}
+
+    def test_equality_is_per_class_and_hash_agrees(self):
+        assert Pair(1, 2) != OtherPair(1, 2) and OtherPair(1, 2) != Pair(1, 2)
+        assert Pair(1, 2) != (1, 2) and Pair(1, 2) != Pair(1, 3)
+        assert Pair(1, (2, 3)) == Pair(1, (2, 3))
+        assert hash(Pair(1, (2, 3))) == hash(Pair(1, (2, 3)))
+        assert len({Pair(1, 2), Pair(1, 2), OtherPair(1, 2), Pair(2, 1)}) == 3
+        with pytest.raises(TypeError, match="unhashable"):
+            hash(Pair(1, [2]))
+
+    def test_repr_prints_as_a_dataclass(self):
+        assert repr(ExchangeWitness(5, 1, 3)) == "ExchangeWitness(base=5, i=1, j=3)"
+        assert (repr(Chain(GroundSet(("a", "b", "c")), (2, 0, 1)))
+                == "Chain(ground=GroundSet(elements=('a', 'b', 'c')), order=(2, 0, 1))")
+        assert repr(Pair(1, "x")) == "Pair(left=1, right='x')"
 
 
 class TestSupermodular:

@@ -8,6 +8,8 @@ import sys
 from pathlib import Path
 from types import ModuleType
 
+import pytest
+
 import chainrep
 
 SRC = Path(chainrep.__file__).parent
@@ -87,6 +89,13 @@ def test_package_root_exports_no_module():
     modules = [n for n in chainrep.__all__ if isinstance(getattr(chainrep, n), ModuleType)]
     assert modules == []
     assert "SWEEP_LIMIT" in chainrep.__all__ and "all_chains" not in dir(chainrep)
+
+
+def test_package_root_keeps_choquet_the_function():
+    # Only the import system's binding of the submodule is dropped.
+    with pytest.raises(AttributeError, match="cannot rebind chainrep.choquet"):
+        chainrep.choquet = len
+    assert chainrep.choquet is sys.modules["chainrep.choquet"].choquet
 
 
 def test_library_imports_only_the_standard_library():
