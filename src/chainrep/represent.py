@@ -48,13 +48,14 @@ m!/3! heads of m - 3 elements once and adds three steps for each of the
 and costs O(m) big-int operations per distinct measure.
 
 (d) tests every nested pair of a class of equal |A| at once
-(``setfn._first_nested_escape``): the weights of all its pairs are
-gathered from v through index lists cached per m, and one lane pass holds
+(``setfn._first_nested_escape``): one lane pass gathers v on the submasks
+of whole sets A, and the weights of all their pairs are slices of that
+gather, read through one table of local indices per |A|. The pass holds
 the subset sums of many pairs side by side, about a dozen big-int
 operations per element over up to 512 KiB of lanes, so no Python work is
 done per pair or per lane. The 5^m lanes of the 3^m pairs are the cost:
-on a 2-vCPU VM, about 0.3, 0.9, 3 and 18 ms at m = 6, 7, 8 and 9 on
-capped sums of small integers, 4.7, 4.4, 3.8 and 2.2 times faster than
+on a 2-vCPU VM, about 0.2, 0.6, 2.2 and 11 ms at m = 6, 7, 8 and 9 on
+capped sums of small integers, 3.7, 4.4, 3.4 and 2.0 times faster than
 one lane test per pair. A class whose pairs take 512 bytes of lanes or
 more (wide values, or |A| = 9 on one-byte lanes) still runs one pair at a
 time on the core lanes of each A, whose memo tests each distinct measure

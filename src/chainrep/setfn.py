@@ -68,7 +68,8 @@ The all-subsets table of chain optima runs on the same lane arithmetic
 (:class:`_LaneRows`): each row is one int, and one spread, add and lane-wise
 maximum per element builds a row from its children. Route (d) of
 :mod:`chainrep.represent` packs the subset sums of many nested pairs side
-by side, one int per pass (:func:`_first_nested_escape`).
+by side, one int per pass, their weights sliced from the pass's one gather
+of v (:func:`_first_nested_escape`).
 """
 
 from __future__ import annotations
@@ -80,7 +81,7 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import chain
 from math import gcd, lcm
-from operator import attrgetter, itemgetter
+from operator import attrgetter
 from typing import Callable, Iterable, Sequence, Union
 
 from .errors import NotMonotone
@@ -342,29 +343,21 @@ def _class_subsets(m: int, n: int) -> tuple[list[int], tuple[int, ...]]:
     return masks, tuple(chain.from_iterable(zip(*lists)))
 
 
-@lru_cache(maxsize=32)
-def _nested_pairs(m: int, n: int) -> tuple[tuple, list]:
-    """The nested pairs B <= A with |A| = n of m elements, as index tuples into v.
+@lru_cache(maxsize=None)
+def _local_steps(n: int) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
+    """The nested-pair measures of an n-set A, as local indices (see
+    :func:`_class_subsets`): per element k, the pair (hi, lo) of 2^n each.
 
-    With B the j-th submask of the t-th A (see :func:`_class_subsets`),
-    the chain that lists B, then A - B, gives element k the weight
-    ``v[hi[i]] - v[lo[i]]`` with i = (k * 2^n + j) * K + t: it adds
-    ``local[p | 2^k] - local[p]``, where p = j & (2^k - 1) if k is in B
-    and p = j | (2^k - 1) if not. Returns the tuples (subs, hi, lo) and an
-    ``itemgetter`` over each, which shares it and gathers a pass that
-    covers the whole class. Over all n the hi and lo tuples hold
-    2 * m * 3^(m-1) entries: about 2.3 MB and 12 ms to build at m = 9, the
-    largest m route (d) meets (0.3 MB and 2 ms at m = 7).
+    With B the j-th submask of A, the chain that lists B, then A - B, gives
+    element k the weight ``local[hi[j]] - local[lo[j]]``: v(P + k) - v(P),
+    where P = j & (2^k - 1) if k is in B, else j | (2^k - 1). Both sides
+    of :func:`_first_nested_escape` read it, 2 * n * 2^n entries per n.
     """
-    masks, subs = _class_subsets(m, n)
-    K = len(masks)
-    rows = [subs[c * K:(c + 1) * K] for c in range(1 << n)]  # (c, t) order
-    lo = [j & (1 << k) - 1 if j >> k & 1 else j | (1 << k) - 1
-          for k in range(n) for j in range(1 << n)]
-    hi = [p | 1 << (i >> n) for i, p in enumerate(lo)]
-    tables = (subs, *(tuple(chain.from_iterable(map(rows.__getitem__, local)))
-                      for local in (hi, lo)))
-    return tables, [itemgetter(*t) for t in tables]
+    steps = []
+    for k in range(n):
+        lo = tuple(j & (1 << k) - 1 if j >> k & 1 else j | (1 << k) - 1 for j in range(1 << n))
+        steps.append((tuple(p | 1 << k for p in lo), lo))
+    return tuple(steps)
 
 
 def _first_nested_escape(values: Sequence[int]) -> tuple[int, int, int] | None:
@@ -397,7 +390,7 @@ def _first_nested_escape(values: Sequence[int]) -> tuple[int, int, int] | None:
         if not count:  # and none in a later class, whose sets are larger still
             break
         if size << n < _PAIR_LANE_BYTES:
-            hit = _first_escape_in_passes(lanes, m, n, count, size, flip)
+            hit = _first_escape_in_passes(lanes, subs, K, n, count, size, flip)
         else:
             hit = _first_escape_per_a(values, subs, K, n, count)
         if hit is not None:
@@ -411,20 +404,19 @@ def _first_escape_per_a(values: Sequence[int], subs: tuple, K: int, n: int,
     """The first failing (t, j, c) of the first ``count`` sets A of a class,
     one pair at a time. The caps are ``values`` as given, so the lower core
     test of a negated image is the upper core test of the image."""
-    bits = [1 << k for k in range(n)]
+    steps = _local_steps(n)
     for t in range(count):
         local = [values[c] for c in subs[t::K]]  # v on the submasks of A
         core = _CoreLanes(local, local[-1])
         for j in range(1 << n):
-            c = core.first_escape([local[p | bit] - local[p] for bit in bits
-                                   for p in [j & bit - 1 if j & bit else j | bit - 1]])
+            c = core.first_escape([local[hi[j]] - local[lo[j]] for hi, lo in steps])
             if c is not None:
                 return t, j, c
     return None
 
 
-def _first_escape_in_passes(lanes: list[bytes], m: int, n: int, count: int, size: int,
-                            flip: bool) -> tuple[int, int, int] | None:
+def _first_escape_in_passes(lanes: list[bytes], subs: tuple, K: int, n: int, count: int,
+                            size: int, flip: bool) -> tuple[int, int, int] | None:
     """The first failing (t, j, c) of the first ``count`` sets A of a class,
     in lane passes.
 
@@ -443,37 +435,31 @@ def _first_escape_in_passes(lanes: list[bytes], m: int, n: int, count: int, size
     fails. ``top`` is :func:`_top_mask` for the next power of two of
     lanes, the surplus shifted out.
 
-    A pass holds whole A's, 4^n lanes each, while they fit in
-    ``_PAIR_PASS_BYTES``, else a run of j's of one A: at most that bound.
-    Within a pass the first failing A comes first, then j, then c.
+    A pass holds whole A's, 4^n lanes each: as many as fit in
+    ``_PAIR_PASS_BYTES``, and at least one. (A class runs here only when
+    ``size * 2^n < _PAIR_LANE_BYTES`` = 512, so one A takes under 2^17
+    bytes and a pass holds at least 4.) Its one gather is the caps, row c
+    the c-th submask of each of its A's; the weights of element k are the
+    rows hi and lo of :func:`_local_steps`, slices of those caps. Within a
+    pass the first failing A comes first, then j, then c.
     """
-    tables, whole = _nested_pairs(m, n)
     subsets, width = 1 << n, 8 * size
-    K = len(tables[0]) >> n
-    per = _PAIR_PASS_BYTES // (size << 2 * n)  # whole A's per pass
-    run = max(1, _PAIR_PASS_BYTES // (size << n))  # else j's of one A
-    passes = ([(t, min(t + per, count), 0, subsets) for t in range(0, count, per)] if per
-              else [(t, t + 1, j, min(j + run, subsets))
-                    for t in range(count) for j in range(0, subsets, run)])
-    for t0, t1, j0, j1 in passes:
-        na, nj = t1 - t0, j1 - j0
-        get_caps, get_hi, get_lo = whole
-        if na < K or nj < subsets:  # of each row of K entries, those of the pass
-            rows = [k + j for k in range(0, n << n, subsets) for j in range(j0, j1)]
-            get_caps, get_hi, get_lo = (
-                itemgetter(*chain.from_iterable(idx[r * K + t0:r * K + t1] for r in rs))
-                for idx, rs in zip(tables, (range(subsets), rows, rows)))
-        step = na * nj * size  # the bytes of one element's weights, (j, t) order
-        hib, lob = b"".join(get_hi(lanes)), b"".join(get_lo(lanes))
+    per = max(1, _PAIR_PASS_BYTES // (size << 2 * n))  # whole A's per pass
+    for t0 in range(0, count, per):
+        na = min(per, count - t0)
+        row = na * size  # the bytes of one row of caps, t order
+        caps = b"".join(map(lanes.__getitem__, chain.from_iterable(
+            subs[c * K + t0:c * K + t0 + na] for c in range(subsets))))
+        rows = [caps[r:r + row] for r in range(0, len(caps), row)]
+        step = row << n  # the bytes of one element's weights, (j, t) order
         sums = 0
-        for k in range(n):
-            w = (int.from_bytes(hib[k * step:(k + 1) * step], "little")
-                 - int.from_bytes(lob[k * step:(k + 1) * step], "little"))
+        for k, (hi, lo) in enumerate(_local_steps(n)):
+            w = (int.from_bytes(b"".join(map(rows.__getitem__, hi)), "little")
+                 - int.from_bytes(b"".join(map(rows.__getitem__, lo)), "little"))
             for i in range(k):
                 w |= w << (8 * step << i)
             sums |= (sums + w) << (8 * step << k)
-        caps = get_caps(lanes)  # (c, t) order
-        caps = b"".join([b"".join(caps[r:r + na]) * nj for r in range(0, len(caps), na)])
+        caps = b"".join([r * subsets for r in rows])  # across j: (c, j, t) order
         lanes_in_pass = len(caps) // size
         p = (lanes_in_pass - 1).bit_length()
         top = _masks(_top_mask, width, p) >> ((1 << p) - lanes_in_pass) * width
@@ -483,8 +469,9 @@ def _first_escape_in_passes(lanes: list[bytes], m: int, n: int, count: int, size
             fails = x.to_bytes(len(caps), "little")[size - 1::size].translate(_FAILS)
             t = next(t for t in range(na) if 1 in fails[t::na])
             col = fails[t::na]  # (c, j) order
-            j = min(i for i in (col[c:c + nj].find(1) for c in range(0, len(col), nj)) if i >= 0)
-            return t0 + t, j0 + j, col[j::nj].find(1)
+            j = min(i for i in (col[c:c + subsets].find(1) for c in range(0, len(col), subsets))
+                    if i >= 0)
+            return t0 + t, j, col[j::subsets].find(1)
     return None
 
 

@@ -411,30 +411,44 @@ class TestNestedPairWitnessOrder:
     @pytest.mark.parametrize("scale", (1, 10 ** 20), ids=("narrow", "wide"))
     @pytest.mark.parametrize("runs", (1, 2, 3, 8))
     def test_a_failure_on_a_pass_edge(self, monkeypatch, scale, runs):
-        # The failing pair of the example above is B = {2}, the third of the
-        # eight pairs of A. Passes of one, two and three pairs put it alone,
-        # first and last in its pass, and eight put the whole A in one. The
-        # wide lanes are 9 bytes, wider than the masks ``_top_mask`` caches.
-        v = SetFunction.from_image(g(3), [scale * x for x in (0, 3, 4, 6, 2, 5, 5, 8)], 1)
+        # The example above on the elements {0, 2, 3} of four, element 1
+        # added with weight 1, fails first at A = {0, 2, 3}, B = {2},
+        # C = {2, 3}: every pair of a set that holds element 1 fails or
+        # passes with its pair on the others. So of the four three-element
+        # sets A, the third fails first. Passes of one, two and three A's
+        # put it alone, first and last in its pass, and eight put the whole
+        # class in one. The wide lanes are 9 bytes, wider than the masks
+        # ``_top_mask`` caches.
+        f = (0, 3, 4, 6, 2, 5, 5, 8)
+        ints = [scale * (f[s & 1 | s >> 1 & 0b110] + (s >> 1 & 1)) for s in range(16)]
+        v = SetFunction.from_image(g(4), ints, 1)
         size = (v.image[0][-1].bit_length() + 9) // 8  # the kernel's lane bytes
         assert size == (1 if scale == 1 else 9)
-        monkeypatch.setattr(setfn, "_PAIR_PASS_BYTES", runs * size << 3)
+        monkeypatch.setattr(setfn, "_PAIR_PASS_BYTES", runs * size << 6)  # 4^3 lanes per A
         for _, got, want in self.both_sides(v):
             assert got == want
-        assert _local_candidates_in_core(v.image[0]) == (False, (0b111, 0b010, 0b110))
+        assert _local_candidates_in_core(v.image[0]) == (False, (0b1101, 0b0100, 0b1100))
 
     @pytest.mark.parametrize("budget", (1, 24, 100, 700))
     @pytest.mark.parametrize("m", (3, 4, 5))
     def test_small_passes_match_the_oracle(self, monkeypatch, m, budget):
-        # Every pass is cut short: whole A's, runs of B's or single pairs,
-        # on submodular inputs, which test every pair, and generic ones.
+        # Every pass is cut short: one A, or a few whole A's with a shorter
+        # last pass, on submodular inputs, which test every pair, and
+        # generic ones. Each input also runs with every class one pair at
+        # a time (0 lane bytes), at the default switch, and with every
+        # class in passes (2^30), narrow and 30-digit alike.
+        lane_switches = (0, setfn._PAIR_LANE_BYTES, 1 << 30)
         monkeypatch.setattr(setfn, "_PAIR_PASS_BYTES", budget)
         rng = random.Random(2600 + m)
         inputs = [*support.route_inputs(2600 + m, m, 1),
                   support.digit_capped_sum(rng, g(m), 30)]
         for v in inputs:
-            for _, got, want in self.both_sides(v):
-                assert got == want
+            for lower in (True, False):
+                want = support.brute_route_d(v, lower)
+                image = v.image[0] if lower else [-x for x in v.image[0]]
+                for lane_bytes in lane_switches:
+                    monkeypatch.setattr(setfn, "_PAIR_LANE_BYTES", lane_bytes)
+                    assert _local_candidates_in_core(image) == want
 
     @pytest.mark.parametrize("m", range(1, 8))
     def test_random_monotone_inputs(self, m):
@@ -457,9 +471,15 @@ class TestNestedPairPassMemory:
     passes of at most about ``setfn._PAIR_PASS_BYTES`` of lanes, so its
     memory does not grow with the class size."""
 
-    @pytest.mark.parametrize("m, digits", [(8, 1000), (7, 4000)])
+    @pytest.mark.parametrize("m, digits", [(8, 1000), (7, 4000),
+                                           pytest.param(10, None, id="10-narrow")])
     def test_peak_stays_small(self, m, digits):
-        values = support.digit_capped_sum(random.Random(m), g(m), digits).image[0]
+        # Narrow values run in passes; the peak counts the class lists too.
+        rng = random.Random(m)
+        v = (support.wide_capped_sum(rng, g(m)) if digits is None
+             else support.digit_capped_sum(rng, g(m), digits))
+        values = v.image[0]
+        setfn._class_subsets.cache_clear()
         tracemalloc.start()
         try:
             assert _local_candidates_in_core(values) == (True, None)
