@@ -112,7 +112,8 @@ def int_image(values: Sequence) -> tuple[list[int], int]:
 # small bytes objects are alive at once.
 _PACK_CHUNK = 1024
 
-# Most passed weight tuples one _CoreLanes remembers (see its docstring).
+# Most passed weight tuples one _CoreLanes remembers, and most passed
+# prefixes route (b)'s walk remembers (see the _CoreLanes docstring).
 _PASSED_LIMIT = 1 << 13
 
 
@@ -283,10 +284,11 @@ class _CoreLanes(_Lanes):
     stay under the caps, so a repeat answers None with no lane pass. A
     failing tuple is never added, so its first occurrence returns its lane.
     At most ``_PASSED_LIMIT`` = 2^13 tuples are kept; later ones are tested
-    but not remembered: about 3 MB at m = 9 when all 9! measures differ.
-    The memo serves route (b), the single core checks of
-    :mod:`chainrep.represent`, and the classes of route (d) whose pairs
-    have wide lanes (see :func:`_first_nested_escape`).
+    but not remembered: about 2 MiB at m = 9 when all 9! measures differ.
+    The memo serves the tails of route (b), whose prefix walk keeps its
+    own memo of passed prefixes under the same limit, the single core
+    checks of :mod:`chainrep.represent`, and the classes of route (d)
+    whose pairs have wide lanes (see :func:`_first_nested_escape`).
     """
 
     def __init__(self, caps: Sequence[int], total: int):

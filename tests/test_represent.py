@@ -349,6 +349,102 @@ class TestRouteBHeadTailSeam:
         assert b[1][0].order == tuple(range(2, m)) + (0, 1)
 
 
+def moved_modular(rng, m, raise_it):
+    """A modular v with weights in 0..3, some of them zero, moved by one on
+    one set L, 0 < |L| < m, that keeps it monotone: raised, which takes every
+    element outside L to add at least 1, or lowered, every element inside.
+
+    Prefixes of one set then share their weights unless they pass through
+    L, and a zero weight makes prefixes of different sets share them too.
+    Raising L makes the chains through it leave the lower core, lowering it
+    the upper core. The first of them lists L in ascending order first, so
+    L is drawn among the sets whose least element is largest: the first
+    failure on that side comes late."""
+    w = [rng.randint(0, 3) for _ in range(m)]
+    ints = [sum(x for i, x in enumerate(w) if s >> i & 1) for s in range(1 << m)]
+    fits = [s for s in range(1, (1 << m) - 1)
+            if all(w[i] for i in range(m) if (s >> i & 1) != raise_it)]
+    if fits:
+        low = max(s & -s for s in fits)
+        ints[rng.choice([s for s in fits if s & -s == low])] += 1 if raise_it else -1
+    return SetFunction.from_image(g(m), ints, 1)
+
+
+def lowered_submodular(rng, m):
+    """A random submodular v with one value lowered to the largest value
+    below it, so it stays monotone and may stop being submodular."""
+    ints, den = int_image(support.random_submodular(rng, g(m)).values)
+    s = rng.randrange(1, 1 << m)
+    ints[s] = max(ints[s ^ 1 << i] for i in range(m) if s >> i & 1)
+    return SetFunction.from_image(g(m), ints, den)
+
+
+class TestRouteBPrefixWalk:
+    """Route (b) walks the chain prefixes depth first and skips a prefix
+    whose set and telescoped weights repeat those of a prefix whose chains
+    all passed. Its answers and witnesses are still the literal sweep's, on
+    inputs whose prefixes repeat their sets with other weights and whose
+    first failure comes late, at every m up to 7, on both sides, and with
+    the memos' limit patched down to 4. For m <= 3 a head is one element."""
+
+    COUNT = {1: 2, 2: 4, 3: 6, 4: 6, 5: 4, 6: 3, 7: 1}
+
+    @pytest.mark.parametrize("m", sorted(COUNT))
+    def test_witnesses_equal_the_oracle(self, monkeypatch, m):
+        # A limit of 4 bounds the prefix memo as well as the core lanes' memo.
+        limits = (setfn._PASSED_LIMIT, 4)
+        rng = random.Random(1400 + m)
+        for _ in range(self.COUNT[m]):
+            for v in (moved_modular(rng, m, True), moved_modular(rng, m, False),
+                      lowered_submodular(rng, m)):
+                assert is_monotone(v)[0]
+                values = v.image[0]
+                for lower in (True, False):
+                    image = values if lower else [-x for x in values]
+                    truth = support.brute_route_b(v, lower)
+                    for limit in limits:
+                        monkeypatch.setattr(setfn, "_PASSED_LIMIT", limit)
+                        assert _extremal_measures_in_core(g(m), image) == truth
+
+
+class TestRouteBPrunesRepeatedPrefixes:
+    """Every prefix of one set of a modular v has the same weights, so the
+    walk runs the 3! tails of each 4-element head set of a 7-element v
+    once: C(7, 4) * 3! = 210 lane tests, where the literal sweep runs
+    5040."""
+
+    @staticmethod
+    def count_lane_tests(monkeypatch, limit=None):
+        if limit is not None:
+            monkeypatch.setattr(setfn, "_PASSED_LIMIT", limit)
+        calls = []
+        first_escape = setfn._CoreLanes.first_escape
+
+        def counted(self, weights):
+            calls.append(None)
+            return first_escape(self, weights)
+        monkeypatch.setattr(setfn._CoreLanes, "first_escape", counted)
+        w = [3, 1, 4, 1, 5, 9, 2]
+        modular = [sum(x for i, x in enumerate(w) if s >> i & 1) for s in range(1 << 7)]
+        counts = []
+        for sign in (1, -1):
+            calls.clear()
+            assert _extremal_measures_in_core(g(7), [sign * x for x in modular]) == (True, None)
+            counts.append(len(calls))
+        return counts
+
+    def test_each_head_set_runs_its_tails_once(self, monkeypatch):
+        assert self.count_lane_tests(monkeypatch) == [210, 210]
+
+    @pytest.mark.parametrize("limit", (1, 2, 4))
+    def test_the_memo_keeps_the_first_prefixes_to_pass(self, monkeypatch, limit):
+        # A prefix is kept once all its chains passed, so the first ones
+        # kept are the heads (0, 1, 2, k), k = 3..6, in that order; the
+        # next is (0, 1, 2), after them. Each saves the 3! tails of the 23
+        # other orders of its set, and the memo takes no more than limit.
+        assert self.count_lane_tests(monkeypatch, limit) == [5040 - 23 * 6 * limit] * 2
+
+
 class TestNestedPairWitnessOrder:
     """Route (d) tests a whole class of equal |A| per lane pass, the classes
     in increasing |A|, and splits a class into passes of at most
