@@ -32,6 +32,7 @@ import json
 import os
 import re
 import sys
+from contextlib import nullcontext
 from decimal import Decimal
 from fractions import Fraction
 from math import gcd, lcm
@@ -209,22 +210,27 @@ _NOT_PARAMETERS = {"command", "format", "no_persist", "fn", "load"}
 
 
 def _emit(args, payload: dict, table_lines: list[str] | None) -> None:
-    """Print the output, or write it to the -o file; no table lines means JSON."""
-    if args.format == "json" or table_lines is None:
-        text = json.dumps(payload, indent=2)
-    else:
-        text = "\n".join(table_lines)
-    if getattr(args, "output", None):
-        Path(args.output).write_text(text + "\n")
-    else:
-        print(text)
+    """Print the output, or write it to the -o file; no table lines means JSON.
+
+    JSON is encoded straight into the stream, so its whole text is never
+    held in memory.
+    """
+    output = getattr(args, "output", None)
+    with open(output, "w") if output else nullcontext(sys.stdout) as fh:
+        if args.format == "json" or table_lines is None:
+            json.dump(payload, fh, indent=2)
+        else:
+            fh.write("\n".join(table_lines))
+        fh.write("\n")
 
 
-def _persist(args, doc, outputs) -> None:
-    """Append a run record under CHAINREP_DATA_DIR/<digest of doc>/."""
+def _persist(args, digest: str | None, outputs) -> None:
+    """Append a run record under CHAINREP_DATA_DIR/<digest>/.
+
+    ``digest`` is the input document's :func:`document_digest`.
+    """
     if args.no_persist:
         return
-    digest = document_digest(doc)
     try:
         root = Path(os.environ.get("CHAINREP_DATA_DIR") or Path.home() / ".chainrep")
     except RuntimeError as exc:  # HOME unset and the uid has no passwd entry
@@ -484,9 +490,13 @@ def run_command(args) -> int:
     else:
         doc = _load_document(args.file)
         subject = args.load(doc)
+    # The parsed document can be several times the size of its file: only
+    # its digest, and only for a run that persists, outlives the load.
+    digest = None if args.no_persist else document_digest(doc)
+    del doc
     payload, lines, code = args.fn(args, subject)
     _emit(args, payload, lines)
-    _persist(args, doc, payload)
+    _persist(args, digest, payload)
     return code
 
 
@@ -499,7 +509,17 @@ class _StepCap(argparse.Action):
         setattr(namespace, self.dest, value)
 
 
-def build_parser() -> argparse.ArgumentParser:
+# The subcommands, in the order that --help and usage messages list them.
+_COMMANDS = ("check", "iterate", "repro-table", "choquet", "spectral", "represent", "dual")
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The CLI's parser; given one of the commands, only its subparser is built.
+
+    Either parser prints the same usage line, so a run that names its
+    command first parses as it would with every subparser built.
+    """
+    every = command not in _COMMANDS
     parser = argparse.ArgumentParser(
         prog="chainrep",
         description="exact chain representations of submodular set functions",
@@ -516,53 +536,65 @@ def build_parser() -> argparse.ArgumentParser:
     document = argparse.ArgumentParser(add_help=False, parents=[common])
     document.add_argument("file")
     document.set_defaults(load=parse_set_function_document)
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(
+        dest="command", required=True,
+        # With one subparser built, list all seven as argparse itself would.
+        metavar=None if every else "{" + ",".join(_COMMANDS) + "}",
+    )
 
-    p = sub.add_parser("check", parents=[document],
-                       help="monotonicity / submodularity report")
-    p.set_defaults(fn=cmd_check)
+    if every or command == "check":
+        p = sub.add_parser("check", parents=[document],
+                           help="monotonicity / submodularity report")
+        p.set_defaults(fn=cmd_check)
 
-    p = sub.add_parser("iterate", parents=[document],
-                       help="run the chain-supremum recursion to its fixed point")
-    p.add_argument("--max-steps", type=int, default=None, action=_StepCap)
-    p.set_defaults(fn=cmd_iterate)
+    if every or command == "iterate":
+        p = sub.add_parser("iterate", parents=[document],
+                           help="run the chain-supremum recursion to its fixed point")
+        p.add_argument("--max-steps", type=int, default=None, action=_StepCap)
+        p.set_defaults(fn=cmd_iterate)
 
-    p = sub.add_parser("repro-table", parents=[common],
-                       help="re-derive the bundled two-step golden table")
-    p.add_argument("--self-test", action="store_true",
-                   help="perturb one expected cell to exercise the diff path")
-    p.set_defaults(fn=cmd_repro_table)
+    if every or command == "repro-table":
+        p = sub.add_parser("repro-table", parents=[common],
+                           help="re-derive the bundled two-step golden table")
+        p.add_argument("--self-test", action="store_true",
+                       help="perturb one expected cell to exercise the diff path")
+        p.set_defaults(fn=cmd_repro_table)
 
-    p = sub.add_parser("choquet", parents=[document],
-                       help="integrate a simple function against the set function")
-    p.add_argument("--f", required=True,
-                   help="comma-separated rational values, one per element")
-    p.add_argument("--risk", action="store_true",
-                   help="also print the normalized reflected integral")
-    p.add_argument("--sup", action="store_true",
-                   help="also print the chain supremum (submodular input only)")
-    p.add_argument("--witness", action="store_true",
-                   help="with --sup, print the attaining chain")
-    p.set_defaults(fn=cmd_choquet)
+    if every or command == "choquet":
+        p = sub.add_parser("choquet", parents=[document],
+                           help="integrate a simple function against the set function")
+        p.add_argument("--f", required=True,
+                       help="comma-separated rational values, one per element")
+        p.add_argument("--risk", action="store_true",
+                       help="also print the normalized reflected integral")
+        p.add_argument("--sup", action="store_true",
+                       help="also print the chain supremum (submodular input only)")
+        p.add_argument("--witness", action="store_true",
+                       help="with --sup, print the attaining chain")
+        p.set_defaults(fn=cmd_choquet)
 
-    p = sub.add_parser("spectral", parents=[document],
-                       help="distribution, quantiles, spectral atoms, and the three integral routes")
-    p.add_argument("--f", required=True)
-    p.set_defaults(fn=cmd_spectral, load=parse_weighted_space_document)
+    if every or command == "spectral":
+        p = sub.add_parser("spectral", parents=[document],
+                           help="distribution, quantiles, spectral atoms, and the three integral routes")
+        p.add_argument("--f", required=True)
+        p.set_defaults(fn=cmd_spectral, load=parse_weighted_space_document)
 
-    p = sub.add_parser("represent", parents=[document],
-                       help="four-way equivalence report")
-    p.set_defaults(fn=cmd_represent)
+    if every or command == "represent":
+        p = sub.add_parser("represent", parents=[document],
+                           help="four-way equivalence report")
+        p.set_defaults(fn=cmd_represent)
 
-    p = sub.add_parser("dual", parents=[document],
-                       help="emit the complement-transform document")
-    p.add_argument("--output", "-o", default=None)
-    p.set_defaults(fn=cmd_dual)
+    if every or command == "dual":
+        p = sub.add_parser("dual", parents=[document],
+                           help="emit the complement-transform document")
+        p.add_argument("--output", "-o", default=None)
+        p.set_defaults(fn=cmd_dual)
     return parser
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = build_parser(argv[0] if argv else None).parse_args(argv)
     # Exit code and stderr prefix of each error, in order: the first match wins.
     errors = (
         ((DocumentError, ZeroTotalMass), EXIT_INPUT, "input error"),

@@ -1,5 +1,6 @@
 """Document round-trips, command behavior, exit codes, persistence."""
 
+import argparse
 import contextlib
 import datetime
 import io
@@ -35,6 +36,7 @@ from chainrep.cli import (
 )
 from chainrep.counterexample import V0, V2_EXPECTED
 from chainrep.errors import DocumentError
+from chainrep.setfn import dual_transform
 
 import support
 
@@ -540,6 +542,33 @@ class TestDualCommand:
         assert code == EXIT_OK
         assert json.loads(target.read_text())["values"][""] == "0"
 
+    def test_json_is_the_indented_dump_byte_for_byte(self, tmp_path, capsys, monkeypatch):
+        # The output is encoded straight into its stream, yet reads as the
+        # one-string dump, on stdout and in the -o file alike.
+        store = tmp_path / "store"
+        monkeypatch.setenv("CHAINREP_DATA_DIR", str(store))
+        v = support.random_monotone(random.Random(12), GroundSet.of_size(12), rational=True)
+        doc = serialize_set_function(v)
+        path = write_doc(tmp_path, "v12.json", doc)
+        want = json.dumps(serialize_set_function(dual_transform(v)), indent=2) + "\n"
+        target = tmp_path / "dual.json"
+        assert main(["dual", path, "-o", str(target)]) == EXIT_OK
+        assert target.read_bytes() == want.encode()
+        assert main(["dual", path, "--format", "json"]) == EXIT_OK
+        assert capsys.readouterr().out == want
+        # Both records land under the input's digest.
+        assert [p.name for p in store.iterdir()] == [document_digest(doc)]
+        assert len(list((store / document_digest(doc)).glob("run-*.json"))) == 2
+
+    def test_dual_twice_returns_the_input_document(self, tmp_path):
+        v = support.random_monotone(random.Random(7), GroundSet.of_size(12), rational=True)
+        doc = serialize_set_function(v)
+        once, twice = tmp_path / "once.json", tmp_path / "twice.json"
+        path = write_doc(tmp_path, "v12.json", doc)
+        assert main(["dual", path, "-o", str(once), "--no-persist"]) == EXIT_OK
+        assert main(["dual", str(once), "-o", str(twice), "--no-persist"]) == EXIT_OK
+        assert json.loads(twice.read_text()) == doc
+
 
 class TestRepresentCommand:
     def test_reports(self, tmp_path, capsys):
@@ -617,7 +646,7 @@ class TestPersistence:
         def persist(t):
             start.wait()
             for i in range(runs):
-                cli._persist(args, {"doc": 1}, {"run": [t, i]})
+                cli._persist(args, document_digest({"doc": 1}), {"run": [t, i]})
 
         workers = [threading.Thread(target=persist, args=(t,)) for t in range(threads)]
         interval = sys.getswitchinterval()
@@ -639,6 +668,39 @@ class TestPersistence:
             [t, i] for t in range(threads) for i in range(runs)]
         # At microsecond 0 the timestamp drops its fraction, as isoformat() does.
         assert {r["timestamp"] for r in payloads} == {"2026-01-02T03:04:05+00:00"}
+
+    def test_parsed_document_is_released_before_the_command_computes(
+            self, tmp_path, capsys, monkeypatch):
+        # Only the digest outlives the load: a command computes with one
+        # copy of its input, the subject, in memory.
+        released, seen = [], []
+
+        class Tracked(dict):
+            def __del__(self):
+                released.append(True)
+
+        load, check = cli._load_document, cli.cmd_check
+
+        def computing(args, v):
+            seen.append(list(released))
+            return check(args, v)
+
+        monkeypatch.setattr(cli, "_load_document", lambda path: Tracked(load(path)))
+        monkeypatch.setattr(cli, "cmd_check", computing)
+        monkeypatch.setenv("CHAINREP_DATA_DIR", str(tmp_path / "store"))
+        assert main(["check", v2_doc(tmp_path)]) == EXIT_OK
+        capsys.readouterr()
+        assert seen == [[True]]
+
+    @pytest.mark.parametrize("argv", [["check", "V2"], ["repro-table"]])
+    def test_no_persist_computes_no_digest(self, tmp_path, capsys, monkeypatch, argv):
+        def refuse(doc):
+            raise AssertionError("a run that is not persisted took a digest")
+
+        monkeypatch.setattr(cli, "document_digest", refuse)
+        paths = {"V2": v2_doc(tmp_path)}
+        assert main([paths.get(a, a) for a in argv] + ["--no-persist"]) == EXIT_OK
+        capsys.readouterr()
 
     def test_unwritable_output_file_exits_two(self, tmp_path, capsys):
         target = tmp_path / "missing" / "dual.json"
@@ -705,6 +767,54 @@ class TestPersistence:
         record, = store.glob("*/run-*.json")
         want = {k: paths.get(v, v) for k, v in parameters.items()}
         assert json.loads(record.read_text())["parameters"] == want
+
+
+def parse_outcome(parser, argv):
+    """The namespace or exit status, stdout and stderr of parsing argv."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            namespace, status = vars(parser.parse_args(argv)), None
+        except SystemExit as exc:
+            namespace, status = None, exc.code
+    return namespace, status, out.getvalue(), err.getvalue()
+
+
+class TestParser:
+    COMMANDS = ["check", "iterate", "repro-table", "choquet", "spectral", "represent", "dual"]
+
+    def built(self, monkeypatch, argv):
+        """The subparsers that main builds for argv."""
+        names, add = [], argparse._SubParsersAction.add_parser
+
+        def recording(self, name, **kwargs):
+            names.append(name)
+            return add(self, name, **kwargs)
+
+        monkeypatch.setattr(argparse._SubParsersAction, "add_parser", recording)
+        with contextlib.suppress(SystemExit):
+            main(argv)
+        return names
+
+    def test_a_named_command_builds_only_its_subparser(self, tmp_path, capsys, monkeypatch):
+        assert self.built(monkeypatch, ["check", v2_doc(tmp_path), "--no-persist"]) == ["check"]
+        assert self.built(monkeypatch, ["--help"]) == self.COMMANDS
+        assert self.built(monkeypatch, ["chec", "x"]) == self.COMMANDS
+        capsys.readouterr()
+
+    @pytest.mark.parametrize("argv", [
+        ["check", "-h"], ["check"], ["check", "x", "--bogus"], ["check", "x", "extra"],
+        ["check", "x", "--format", "xml"], ["check", "--", "x"],
+        ["iterate", "x", "--max-steps", "-1"], ["iterate", "x", "--max-steps", "a"],
+        ["repro-table", "x"], ["repro-table", "--self-test", "--format", "json"],
+        ["choquet", "x"], ["choquet", "x", "--f=1", "--sup", "--witness", "--risk"],
+        ["spectral", "-h"], ["spectral", "x", "--f", "1"], ["represent", "x", "y"],
+        ["dual", "x", "-o"], ["dual", "x", "--output=f", "--no-persist"],
+    ], ids=" ".join)
+    def test_one_subparser_parses_as_all_seven(self, argv):
+        # Help, usage errors and namespaces are the same byte for byte.
+        assert parse_outcome(cli.build_parser(argv[0]), argv) == parse_outcome(
+            cli.build_parser(), argv)
 
 
 def fresh_interpreter(code: str, *argv: str):
